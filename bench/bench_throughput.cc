@@ -7,6 +7,10 @@
 //   ingest             — ParseCsv / ParseGeoLifePlt on in-memory content
 //   steady_state       — each algorithm's sink-path compression throughput
 //                        (segments stream to a counting sink; no buffer)
+//   batched_vs_pointwise — OPERB's staged Push(span) against per-point
+//                        Push on each profile plus a dense GeoLife
+//                        variant; output hashes must match, and in full
+//                        mode the dense row must run >= 2x faster
 //   end_to_end         — the CLI flow: parse CSV -> validate -> simplify
 //                        (sink) -> independent bound verification
 //   concurrent_streams — the sharded StreamEngine on a round-robin
@@ -49,7 +53,7 @@
 //                        uninterrupted run's (DESIGN.md §9)
 //
 // Every simplifier-bearing record carries the resolved canonical spec
-// string of what ran (schema version 9).
+// string of what ran (schema version 10).
 //
 // `--smoke` shrinks every dataset to a single fast pass (for CI), `--out
 // PATH` overrides the default ./BENCH_throughput.json. Later PRs
@@ -69,7 +73,6 @@
 #include <span>
 
 #include <limits>
-#include <functional>
 #include <algorithm>
 
 #include "api/registry.h"
@@ -81,7 +84,6 @@
 #include "core/operb.h"
 #include "eval/verifier.h"
 #include "geo/bbox.h"
-#include "geo/simd.h"
 #include <filesystem>
 
 #include "obs/metrics.h"
@@ -311,55 +313,34 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------------------------
-  // SIMD vs scalar (schema v9): the batched fitting kernels' evidence.
-  //
-  // kind=="kernel" rows time one geo::simd batch kernel at the host's
-  // best vector level against the scalar oracle on identical inputs,
-  // interleaved min-of-N — on throttling machines the interleaved ratio
-  // stays stable even when absolute numbers wobble. The hash covers
-  // every output element's bit pattern; equality is the differential
-  // contract restated on the bench inputs.
-  //
-  // kind=="steady_state" rows are this refactor's before/after: OPERB
-  // point-wise Push pinned to scalar dispatch (the pre-batching hot
-  // loop) vs span Push at the detected level, on each stock profile
-  // plus a dense high-rate GeoLife variant (~0.3 s sampling, ~300
-  // points/segment) whose long extend runs are the batched path's
-  // target workload. The hash covers the emitted segment bytes; the
-  // two paths must produce identical streams (bit-identity gate).
+  // Batched vs pointwise (schema v10): what OperbStream's staged
+  // Push(span) buys over per-point Push — OPERB paper-faithful on each
+  // stock profile plus a dense high-rate GeoLife variant (~0.3 s
+  // sampling, ~300 points/segment) whose long extend runs are the
+  // batched path's target workload. Interleaved min-of-N: on throttling
+  // machines the interleaved ratio stays stable even when absolute
+  // numbers wobble. The hash covers the emitted segment bytes; the two
+  // paths must produce identical streams (bit-identity gate).
   // ------------------------------------------------------------------
-  std::vector<JsonRecord> simd_rows;
+  std::vector<JsonRecord> batched_rows;
   {
-    const geo::simd::Level best = geo::simd::Detect();
-    const std::string best_name{geo::simd::LevelName(best)};
     const int rounds = smoke ? 3 : 25;
-
-    // Interleaved min-of-N: alternate the two sides every round, keep
-    // each side's best sample.
-    const auto min_of = [&](auto&& base_fn, auto&& simd_fn) {
-      double best_base = std::numeric_limits<double>::infinity();
-      double best_simd = std::numeric_limits<double>::infinity();
+    const auto min_of = [&](auto&& pointwise_fn, auto&& batched_fn) {
+      double best_pointwise = std::numeric_limits<double>::infinity();
+      double best_batched = std::numeric_limits<double>::infinity();
       for (int r = 0; r < rounds; ++r) {
         {
           Stopwatch w;
-          base_fn();
-          best_base = std::min(best_base, w.ElapsedSeconds());
+          pointwise_fn();
+          best_pointwise = std::min(best_pointwise, w.ElapsedSeconds());
         }
         {
           Stopwatch w;
-          simd_fn();
-          best_simd = std::min(best_simd, w.ElapsedSeconds());
+          batched_fn();
+          best_batched = std::min(best_batched, w.ElapsedSeconds());
         }
       }
-      return std::pair<double, double>{best_base, best_simd};
-    };
-
-    const auto hash_doubles = [](const double* p, std::size_t n,
-                                 std::uint64_t seed) {
-      return serial::Fnv1a64(
-          std::span<const std::uint8_t>(
-              reinterpret_cast<const std::uint8_t*>(p), n * sizeof(double)),
-          seed);
+      return std::pair<double, double>{best_pointwise, best_batched};
     };
     char hex[32];
     const auto hex_str = [&hex](std::uint64_t h) {
@@ -368,118 +349,6 @@ int main(int argc, char** argv) {
       return std::string(hex);
     };
 
-    // Kernel micro rows: batch of 64 (the staging window), points near
-    // the line so the early-exit kernels scan the full batch.
-    constexpr std::size_t kN = 64;
-    double xs[kN], ys[kN], o1[kN], o2[kN], o3[kN], o4[kN];
-    datagen::Rng krng(bench::kBenchSeed);
-    const geo::Vec2 anchor{500.0, -250.0};
-    const geo::Vec2 dir{0.8, 0.6};
-    const geo::Vec2 ra_unit{-0.6, 0.8};
-    for (std::size_t i = 0; i < kN; ++i) {
-      const double along = static_cast<double>(i) * 12.0;
-      const double across = (krng.NextDouble() - 0.5) * 2.0 * kZeta * 0.4;
-      xs[i] = anchor.x + along * dir.x - across * dir.y;
-      ys[i] = anchor.y + along * dir.y + across * dir.x;
-    }
-    geo::simd::ExtendAcceptParams accept_all;
-    accept_all.length = 0.0;
-    accept_all.slack = 1e9;
-    accept_all.d_plus_max = 1e9;
-    accept_all.d_minus_max = 1e9;
-    accept_all.zeta = 1e9;
-    accept_all.guard = true;
-    accept_all.drift_plus = 1e9;
-    accept_all.drift_minus = 1e9;
-    accept_all.drift_back = 1e9;
-    accept_all.sum_ok = true;
-    std::size_t count_sink = 0;
-    const int kernel_iters = smoke ? 200 : 20000;
-
-    struct KernelCase {
-      const char* name;
-      std::function<void()> run;       // one batch at the active level
-      std::function<std::uint64_t()> hash;  // outputs of one batch
-    };
-    const std::vector<KernelCase> kernels = {
-        {"signed_offsets",
-         [&] { geo::simd::SignedOffsets(xs, ys, kN, anchor, dir, o1); },
-         [&] { return hash_doubles(o1, kN, serial::kFnv1a64OffsetBasis); }},
-        {"radii", [&] { geo::simd::Radii(xs, ys, kN, anchor, o1); },
-         [&] { return hash_doubles(o1, kN, serial::kFnv1a64OffsetBasis); }},
-        {"dots", [&] { geo::simd::Dots(xs, ys, kN, anchor, dir, o1); },
-         [&] { return hash_doubles(o1, kN, serial::kFnv1a64OffsetBasis); }},
-        {"stage_extend",
-         [&] {
-           geo::simd::StageExtend(xs, ys, kN, anchor, dir, ra_unit,
-                                  /*want_dot=*/true, o1, o2, o3, o4);
-         },
-         [&] {
-           std::uint64_t h = hash_doubles(o1, kN, serial::kFnv1a64OffsetBasis);
-           h = hash_doubles(o2, kN, h);
-           h = hash_doubles(o3, kN, h);
-           return hash_doubles(o4, kN, h);
-         }},
-        {"count_within",
-         [&] {
-           count_sink +=
-               geo::simd::CountWithin(xs, ys, kN, anchor, dir, 1e9);
-         },
-         [&] {
-           return geo::simd::CountWithin(xs, ys, kN, anchor, dir, 1e9);
-         }},
-        {"count_extend_accept",
-         [&] {
-           geo::simd::StageExtend(xs, ys, kN, anchor, dir, ra_unit, true,
-                                  o1, o2, o3, o4);
-           count_sink += geo::simd::CountExtendAccept(o1, o2, o3, o4, kN,
-                                                      accept_all);
-         },
-         [&] {
-           geo::simd::StageExtend(xs, ys, kN, anchor, dir, ra_unit, true,
-                                  o1, o2, o3, o4);
-           return geo::simd::CountExtendAccept(o1, o2, o3, o4, kN,
-                                               accept_all);
-         }}};
-
-    for (const KernelCase& k : kernels) {
-      geo::simd::ForceLevel(geo::simd::Level::kScalar);
-      const std::uint64_t hash_base = k.hash();
-      geo::simd::ForceLevel(best);
-      const std::uint64_t hash_simd = k.hash();
-      const auto [base_s, simd_s] = min_of(
-          [&] {
-            geo::simd::ForceLevel(geo::simd::Level::kScalar);
-            for (int i = 0; i < kernel_iters; ++i) k.run();
-          },
-          [&] {
-            geo::simd::ForceLevel(best);
-            for (int i = 0; i < kernel_iters; ++i) k.run();
-          });
-      geo::simd::ClearForcedLevel();
-      const double total =
-          static_cast<double>(kN) * static_cast<double>(kernel_iters);
-      JsonRecord rec;
-      rec.Str("kind", "kernel");
-      rec.Str("name", k.name);
-      rec.Str("level", best_name);
-      rec.Int("points", static_cast<long long>(kN));
-      rec.Int("rounds", rounds);
-      rec.Num("base_points_per_sec", total / base_s);
-      rec.Num("simd_points_per_sec", total / simd_s);
-      rec.Num("speedup", base_s / simd_s);
-      rec.Str("hash_base", hex_str(hash_base));
-      rec.Str("hash_simd", hex_str(hash_simd));
-      rec.Int("hash_match", hash_base == hash_simd ? 1 : 0);
-      simd_rows.push_back(rec);
-      std::printf("simd kernel %-19s %s/scalar  %5.2fx  hashes %s\n",
-                  k.name, best_name.c_str(), base_s / simd_s,
-                  hash_base == hash_simd ? "match" : "DIVERGE");
-    }
-    if (count_sink == 0) std::printf("# unreachable\n");
-
-    // Steady-state before/after rows: OPERB paper-faithful, pointwise
-    // scalar vs batched at the detected level.
     struct SteadyCase {
       std::string name;
       datagen::DatasetProfile profile;
@@ -492,7 +361,7 @@ int main(int argc, char** argv) {
     {
       // High-rate variant: GeoLife road walk at ~0.3 s sampling, the
       // regime (hundreds of points per fitted segment) where the
-      // batched extend loop has real windows to vectorize.
+      // batched extend loop has long windows to stage.
       datagen::DatasetProfile dense =
           datagen::DatasetProfile::For(datagen::DatasetKind::kGeoLife);
       dense.sampling_min_s = 0.2;
@@ -535,49 +404,37 @@ int main(int argc, char** argv) {
         }
       };
 
-      geo::simd::ForceLevel(geo::simd::Level::kScalar);
       hash = serial::kFnv1a64OffsetBasis;
       segments = 0;
       run_pointwise();
-      const std::uint64_t hash_base = hash;
-      const std::size_t segments_base = segments;
-      geo::simd::ForceLevel(best);
+      const std::uint64_t hash_pointwise = hash;
+      const std::size_t segments_pointwise = segments;
       hash = serial::kFnv1a64OffsetBasis;
-      segments = 0;
       run_batched();
-      const std::uint64_t hash_simd = hash;
+      const std::uint64_t hash_batched = hash;
 
-      const auto [base_s, simd_s] = min_of(
-          [&] {
-            geo::simd::ForceLevel(geo::simd::Level::kScalar);
-            run_pointwise();
-          },
-          [&] {
-            geo::simd::ForceLevel(best);
-            run_batched();
-          });
-      geo::simd::ClearForcedLevel();
+      const auto [pointwise_s, batched_s] = min_of(run_pointwise, run_batched);
 
       JsonRecord rec;
-      rec.Str("kind", "steady_state");
       rec.Str("name", c.name);
-      rec.Str("level", best_name);
       rec.Int("points", static_cast<long long>(total));
       rec.Int("rounds", rounds);
-      rec.Num("base_points_per_sec", static_cast<double>(total) / base_s);
-      rec.Num("simd_points_per_sec", static_cast<double>(total) / simd_s);
-      rec.Num("speedup", base_s / simd_s);
-      rec.Str("hash_base", hex_str(hash_base));
-      rec.Str("hash_simd", hex_str(hash_simd));
-      rec.Int("hash_match", hash_base == hash_simd ? 1 : 0);
-      simd_rows.push_back(rec);
+      rec.Num("pointwise_points_per_sec",
+              static_cast<double>(total) / pointwise_s);
+      rec.Num("batched_points_per_sec",
+              static_cast<double>(total) / batched_s);
+      rec.Num("speedup", pointwise_s / batched_s);
+      rec.Str("hash_pointwise", hex_str(hash_pointwise));
+      rec.Str("hash_batched", hex_str(hash_batched));
+      rec.Int("hash_match", hash_pointwise == hash_batched ? 1 : 0);
+      batched_rows.push_back(rec);
       std::printf(
-          "simd steady %-13s pointwise %7.2fM -> batched(%s) %7.2fM "
-          "pts/s  %4.2fx  %zu segs  hashes %s\n",
-          c.name.c_str(), static_cast<double>(total) / base_s / 1e6,
-          best_name.c_str(), static_cast<double>(total) / simd_s / 1e6,
-          base_s / simd_s, segments_base,
-          hash_base == hash_simd ? "match" : "DIVERGE");
+          "batched %-13s pointwise %7.2fM -> batched %7.2fM pts/s  %4.2fx  "
+          "%zu segs  hashes %s\n",
+          c.name.c_str(), static_cast<double>(total) / pointwise_s / 1e6,
+          static_cast<double>(total) / batched_s / 1e6,
+          pointwise_s / batched_s, segments_pointwise,
+          hash_pointwise == hash_batched ? "match" : "DIVERGE");
     }
   }
 
@@ -1286,7 +1143,7 @@ int main(int argc, char** argv) {
   // Client connections sweep PositionAt queries at 1/4/8 client
   // threads while one more connection keeps ingesting. qps is
   // wall-clock; p50/p99 come from the server's own
-  // obs server.query_ns histogram.
+  // obs server.query_ns histogram, restricted to each row's queries.
   // ------------------------------------------------------------------
   std::vector<JsonRecord> server_records;
   {
@@ -1377,7 +1234,13 @@ int main(int argc, char** argv) {
     // Live-ingest timestamps stay monotone per object across sweeps:
     // one shared counter, bumped only by the (single) active ingester.
     double ingest_t = 1e6;  // far past every generated timestamp
+    obs::LatencyHistogram* const query_hist =
+        obs::MetricsRegistry::Global().GetHistogram("server.query_ns");
     for (const std::size_t threads : {1u, 4u, 8u}) {
+      // The histogram is cumulative over the server's life (the warm
+      // query and every earlier row), so each row's percentiles come
+      // from the difference against this snapshot.
+      const obs::HistogramSnapshot before = query_hist->Snapshot();
       std::atomic<bool> stop_ingest{false};
       std::atomic<bool> sweep_failed{false};
       std::thread ingester([&] {
@@ -1438,12 +1301,12 @@ int main(int argc, char** argv) {
                      threads);
         return 1;
       }
-      const auto snapshot = obs::MetricsRegistry::Global()
-                                .GetHistogram("server.query_ns")
-                                ->Snapshot();
-      // The histogram is cumulative across sweeps, so the recorded
-      // p50/p99 cover all queries so far — still the ordering-stable
-      // signal the validator gates (p50 <= p99, both positive).
+      obs::HistogramSnapshot snapshot = query_hist->Snapshot();
+      for (std::size_t b = 0; b < obs::HistogramSnapshot::kBuckets; ++b) {
+        snapshot.buckets[b] -= before.buckets[b];
+      }
+      snapshot.count -= before.count;
+      snapshot.sum -= before.sum;
       SweepRow row;
       row.threads = threads;
       row.queries = completed.load();
@@ -1500,7 +1363,7 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n"
                "  \"schema\": \"operb-bench-throughput\",\n"
-               "  \"schema_version\": 9,\n"
+               "  \"schema_version\": 10,\n"
                "  \"smoke\": %s,\n"
                "  \"unix_time\": %lld,\n"
                "  \"zeta\": %g,\n"
@@ -1510,8 +1373,8 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(bench::kBenchSeed));
   std::fprintf(f, "  \"ingest\": %s,\n", JoinRecords(ingest).c_str());
   std::fprintf(f, "  \"steady_state\": %s,\n", JoinRecords(steady).c_str());
-  std::fprintf(f, "  \"simd_vs_scalar\": %s,\n",
-               JoinRecords(simd_rows).c_str());
+  std::fprintf(f, "  \"batched_vs_pointwise\": %s,\n",
+               JoinRecords(batched_rows).c_str());
   std::fprintf(f, "  \"end_to_end\": %s,\n", JoinRecords(end_to_end).c_str());
   std::fprintf(f, "  \"concurrent_streams\": %s,\n",
                JoinRecords(concurrent).c_str());

@@ -99,7 +99,7 @@ void OperbStream::Push(const geo::Point& p) {
 
 void OperbStream::Push(std::span<const geo::Point> points) {
   // Batched driver: each mode's "point fits, keep going" run is consumed
-  // through the SoA/simd fast path; the point that ends a run (absorb
+  // through the SoA-staged batch kernels; the point that ends a run (absorb
   // failure, activation, bound violation, cap) goes through the scalar
   // Push, which recomputes the same IEEE values and performs the mode
   // change. Output and state are bit-identical to point-wise Push.
@@ -289,8 +289,8 @@ std::size_t OperbStream::ExtendRun(std::span<const geo::Point> points,
   std::size_t consumed = 0;
   while (consumed < window) {
     // Leading run of no-op consumes — inactive, inside both side maxima,
-    // within zeta of R_a, inside the drift budgets — in one vectorized
-    // sweep over the staged intermediates. Such points leave the fitting
+    // within zeta of R_a, inside the drift budgets — in one sweep
+    // over the staged intermediates. Such points leave the fitting
     // state bit-for-bit unchanged, so skipping their Observe* calls is
     // exact, not approximate.
     consumed += geo::simd::CountExtendAccept(

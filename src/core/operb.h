@@ -221,7 +221,7 @@ class OperbStream {
 
  public:
   /// Capacity of the thread-local SoA staging buffers (the maximum batch
-  /// the simd kernels see per call); exposed for tests and benches.
+  /// the geo::simd kernels see per call); exposed for tests and benches.
   static constexpr std::size_t kStageCapacity = 64;
 };
 

@@ -1,45 +1,37 @@
 #include "geo/simd.h"
 
-#include <atomic>
-#include <cstdlib>
+#include <cmath>
 
 #include "geo/distance.h"
-#include "geo/simd_internal.h"
 
 namespace operb::geo::simd {
-namespace internal {
-namespace {
 
-// The scalar bodies call the exact geo/distance.h kernels so the oracle
-// cannot drift from what the per-point code path computes. GCC/Clang may
-// auto-vectorize these loops, but only with transformations that preserve
-// per-element IEEE semantics at the default -fno-fast-math, so the result
-// stays bit-identical by construction.
+// Each loop calls the exact geo/distance.h kernels the per-point path
+// calls, so a staged value cannot drift from the one per-point Push
+// computes. GCC/Clang may auto-vectorize these loops, but only with
+// transformations that preserve per-element IEEE semantics at the
+// default -fno-fast-math, so the result stays bit-identical.
 
-void SignedOffsetsScalar(const double* xs, const double* ys, std::size_t n,
-                         Vec2 anchor, Vec2 unit_dir, double* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = SignedPointToLineOffsetDir({xs[i], ys[i]}, anchor, unit_dir);
-  }
-}
-
-void RadiiScalar(const double* xs, const double* ys, std::size_t n,
-                 Vec2 anchor, double* out) {
+void Radii(const double* xs, const double* ys, std::size_t n, Vec2 anchor,
+           double* out) {
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = Distance({xs[i], ys[i]}, anchor);
   }
 }
 
-void DotsScalar(const double* xs, const double* ys, std::size_t n, Vec2 anchor,
-                Vec2 unit_dir, double* out) {
+std::size_t CountWithin(const double* xs, const double* ys, std::size_t n,
+                        Vec2 anchor, Vec2 unit_dir, double bound) {
   for (std::size_t i = 0; i < n; ++i) {
-    out[i] = unit_dir.Dot(Vec2{xs[i], ys[i]} - anchor);
+    const double d =
+        PointToLineDistanceDir({xs[i], ys[i]}, anchor, unit_dir);
+    if (!(d <= bound)) return i;  // NaN fails, like the scalar absorb test
   }
+  return n;
 }
 
-void StageExtendScalar(const double* xs, const double* ys, std::size_t n,
-                       Vec2 anchor, Vec2 unit_dir, Vec2 ra_unit, bool want_dot,
-                       double* r, double* off, double* ra, double* dot) {
+void StageExtend(const double* xs, const double* ys, std::size_t n,
+                 Vec2 anchor, Vec2 unit_dir, Vec2 ra_unit, bool want_dot,
+                 double* r, double* off, double* ra, double* dot) {
   for (std::size_t i = 0; i < n; ++i) {
     const Vec2 p{xs[i], ys[i]};
     r[i] = Distance(p, anchor);
@@ -49,21 +41,9 @@ void StageExtendScalar(const double* xs, const double* ys, std::size_t n,
   }
 }
 
-std::size_t CountWithinScalar(const double* xs, const double* ys,
-                              std::size_t n, Vec2 anchor, Vec2 unit_dir,
-                              double bound) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d =
-        PointToLineDistanceDir({xs[i], ys[i]}, anchor, unit_dir);
-    if (!(d <= bound)) return i;  // NaN fails, like the scalar absorb test
-  }
-  return n;
-}
-
-std::size_t CountExtendAcceptScalar(const double* r, const double* off,
-                                    const double* ra, const double* dot,
-                                    std::size_t n,
-                                    const ExtendAcceptParams& p) {
+std::size_t CountExtendAccept(const double* r, const double* off,
+                              const double* ra, const double* dot,
+                              std::size_t n, const ExtendAcceptParams& p) {
   if (!p.sum_ok) return 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (!(r[i] - p.length <= p.slack)) return i;  // active (or NaN radius)
@@ -81,176 +61,6 @@ std::size_t CountExtendAcceptScalar(const double* r, const double* off,
     }
   }
   return n;
-}
-
-}  // namespace
-
-const KernelTable kScalarTable = {SignedOffsetsScalar,    RadiiScalar,
-                                  DotsScalar,             StageExtendScalar,
-                                  CountWithinScalar,      CountExtendAcceptScalar};
-
-}  // namespace internal
-
-namespace {
-
-const internal::KernelTable* TableFor(Level level) {
-  switch (level) {
-    case Level::kScalar:
-      return &internal::kScalarTable;
-    case Level::kSse2:
-      return &internal::kSse2Table;
-    case Level::kAvx2:
-      return &internal::kAvx2Table;
-    case Level::kNeon:
-      return &internal::kNeonTable;
-  }
-  return &internal::kScalarTable;
-}
-
-bool CpuSupports(Level level) {
-#if defined(__x86_64__) || defined(_M_X64)
-  switch (level) {
-    case Level::kScalar:
-      return true;
-    case Level::kSse2:
-      return true;  // part of the x86-64 baseline ISA
-    case Level::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0;
-    case Level::kNeon:
-      return false;
-  }
-  return false;
-#elif defined(__aarch64__)
-  return level == Level::kScalar || level == Level::kNeon;
-#else
-  return level == Level::kScalar;
-#endif
-}
-
-// -1: no ForceLevel() pin. Relaxed ordering is enough — the pin is a
-// test/bench knob flipped between (not during) measured regions.
-std::atomic<int> g_forced{-1};
-
-Level ResolveFromEnvironment() {
-  const char* env = std::getenv("OPERB_SIMD");
-  if (env != nullptr) {
-    Level requested;
-    if (ParseLevel(env, &requested) && Supported(requested)) {
-      return requested;
-    }
-    // Unknown or unsupported request: deterministic fallback to
-    // auto-detection rather than a crash on an unrunnable ISA.
-  }
-  return Detect();
-}
-
-Level ResolvedDefault() {
-  static const Level resolved = ResolveFromEnvironment();
-  return resolved;
-}
-
-}  // namespace
-
-std::string_view LevelName(Level level) {
-  switch (level) {
-    case Level::kScalar:
-      return "scalar";
-    case Level::kSse2:
-      return "sse2";
-    case Level::kAvx2:
-      return "avx2";
-    case Level::kNeon:
-      return "neon";
-  }
-  return "scalar";
-}
-
-bool ParseLevel(std::string_view text, Level* out) {
-  if (text == "scalar") {
-    *out = Level::kScalar;
-  } else if (text == "sse2") {
-    *out = Level::kSse2;
-  } else if (text == "avx2") {
-    *out = Level::kAvx2;
-  } else if (text == "neon") {
-    *out = Level::kNeon;
-  } else if (text == "native") {
-    *out = Detect();
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool Supported(Level level) {
-  return CpuSupports(level) && TableFor(level)->complete();
-}
-
-Level Detect() {
-  if (Supported(Level::kAvx2)) return Level::kAvx2;
-  if (Supported(Level::kSse2)) return Level::kSse2;
-  if (Supported(Level::kNeon)) return Level::kNeon;
-  return Level::kScalar;
-}
-
-Level Active() {
-  const int forced = g_forced.load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<Level>(forced);
-  return ResolvedDefault();
-}
-
-void ForceLevel(Level level) {
-  if (!Supported(level)) level = Level::kScalar;
-  g_forced.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-void ClearForcedLevel() { g_forced.store(-1, std::memory_order_relaxed); }
-
-std::size_t LaneWidth(Level level) {
-  switch (level) {
-    case Level::kScalar:
-      return 1;
-    case Level::kSse2:
-    case Level::kNeon:
-      return 2;
-    case Level::kAvx2:
-      return 4;
-  }
-  return 1;
-}
-
-void SignedOffsets(const double* xs, const double* ys, std::size_t n,
-                   Vec2 anchor, Vec2 unit_dir, double* out) {
-  TableFor(Active())->signed_offsets(xs, ys, n, anchor, unit_dir, out);
-}
-
-void Radii(const double* xs, const double* ys, std::size_t n, Vec2 anchor,
-           double* out) {
-  TableFor(Active())->radii(xs, ys, n, anchor, out);
-}
-
-void Dots(const double* xs, const double* ys, std::size_t n, Vec2 anchor,
-          Vec2 unit_dir, double* out) {
-  TableFor(Active())->dots(xs, ys, n, anchor, unit_dir, out);
-}
-
-void StageExtend(const double* xs, const double* ys, std::size_t n,
-                 Vec2 anchor, Vec2 unit_dir, Vec2 ra_unit, bool want_dot,
-                 double* r, double* off, double* ra, double* dot) {
-  TableFor(Active())->stage_extend(xs, ys, n, anchor, unit_dir, ra_unit,
-                                   want_dot, r, off, ra, dot);
-}
-
-std::size_t CountWithin(const double* xs, const double* ys, std::size_t n,
-                        Vec2 anchor, Vec2 unit_dir, double bound) {
-  return TableFor(Active())->count_within(xs, ys, n, anchor, unit_dir, bound);
-}
-
-std::size_t CountExtendAccept(const double* r, const double* off,
-                              const double* ra, const double* dot,
-                              std::size_t n,
-                              const ExtendAcceptParams& params) {
-  return TableFor(Active())->count_extend_accept(r, off, ra, dot, n, params);
 }
 
 }  // namespace operb::geo::simd

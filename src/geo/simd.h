@@ -8,90 +8,58 @@
 
 namespace operb::geo::simd {
 
-/// Vector instruction sets the batch kernels can target. Levels are
-/// *exact* targets, not capability tiers: kSse2 runs the 2-lane SSE2
-/// bodies even on an AVX2 machine, which is what lets the differential
-/// tests pin every implementation against the scalar oracle.
+/// ---- Level surface (benchmark compatibility only) ------------------
+///
+/// The batch kernels below have a single implementation: plain scalar
+/// loops. These names remain only because the repository benchmark
+/// (perfbench) compiles against them for its `geo.simd_fit_speedup`
+/// layer metric, which times a fit at Detect() against a fit pinned to
+/// kScalar; both run the same code, so the metric reads about 1.0.
+/// There is nothing to select: Detect() always returns kScalar and the
+/// pins do nothing.
 enum class Level : int {
-  kScalar = 0,  ///< portable C++ loops (the in-tree oracle)
-  kSse2 = 1,    ///< 2 x f64 (x86-64 baseline)
-  kAvx2 = 2,    ///< 4 x f64 (runtime-detected via cpuid)
-  kNeon = 3,    ///< 2 x f64 (aarch64 baseline)
+  kScalar = 0,  ///< the one kernel path
 };
 
-/// Lower-case display name ("scalar", "sse2", "avx2", "neon").
-std::string_view LevelName(Level level);
+/// Display name of `level` ("scalar").
+constexpr std::string_view LevelName(Level /*level*/) { return "scalar"; }
 
-/// Parses "scalar" | "sse2" | "avx2" | "neon" | "native" (the OPERB_SIMD
-/// grammar); "native" resolves to Detect(). Returns false (and leaves
-/// `*out` untouched) for anything else.
-bool ParseLevel(std::string_view text, Level* out);
+/// The level the kernels run at: always kScalar.
+constexpr Level Detect() { return Level::kScalar; }
 
-/// True when this build *and* this CPU can execute `level`'s kernels.
-bool Supported(Level level);
+/// No-op pin, kept for the benchmark's scalar-pinned fit pass.
+inline void ForceLevel(Level /*level*/) {}
 
-/// Best supported level of the running machine (cpuid on x86, NEON on
-/// aarch64, scalar elsewhere).
-Level Detect();
-
-/// The level the dispatched kernels below currently run at. Resolution
-/// order: ForceLevel() override, else the OPERB_SIMD environment
-/// variable (read once; unknown or unsupported values fall back to
-/// auto-detection), else Detect(). Thread-safe.
-Level Active();
-
-/// Test/bench hook: pins Active() to `level` until ClearForcedLevel().
-/// Precondition: Supported(level). Takes effect for subsequent kernel
-/// calls (not synchronized against concurrently running ones).
-void ForceLevel(Level level);
-
-/// Removes the ForceLevel() pin, restoring env/auto resolution.
-void ClearForcedLevel();
-
-/// SIMD lanes (f64 elements per vector) of `level`; 1 for scalar.
-std::size_t LaneWidth(Level level);
+/// No-op, the counterpart of ForceLevel().
+inline void ClearForcedLevel() {}
 
 /// ---- Batch kernels ------------------------------------------------
 ///
-/// All kernels are element-wise maps of the scalar hot-path kernels in
-/// geo/distance.h and bit-identical to them per element: same operand
-/// order, no reassociation, no FMA contraction, IEEE sqrt (see
-/// DESIGN.md §12). Inputs are SoA coordinate arrays; `anchor` and
-/// `unit_dir` are the per-call line parameters the scalar kernels take.
-/// xs/ys/out may not alias. Dispatched on Active() per call — callers
-/// amortize the dispatch over a staged window, not per point.
-
-/// out[i] = SignedPointToLineOffsetDir({xs[i], ys[i]}, anchor, unit_dir)
-///        = unit_dir.Cross(p_i - anchor).
-void SignedOffsets(const double* xs, const double* ys, std::size_t n,
-                   Vec2 anchor, Vec2 unit_dir, double* out);
+/// Element-wise maps of the scalar hot-path kernels in geo/distance.h,
+/// bit-identical to them per element: they call the same functions in
+/// the same order (see DESIGN.md §12). Inputs are SoA coordinate arrays
+/// staged by core/operb.cc; `anchor` and `unit_dir` are the per-call
+/// line parameters the scalar kernels take. xs/ys/out may not alias.
 
 /// out[i] = Distance({xs[i], ys[i]}, anchor) = |p_i - anchor|.
 void Radii(const double* xs, const double* ys, std::size_t n, Vec2 anchor,
            double* out);
 
-/// out[i] = unit_dir.Dot(p_i - anchor) (projection onto the line
-/// direction; the drift guard's ahead/behind test).
-void Dots(const double* xs, const double* ys, std::size_t n, Vec2 anchor,
-          Vec2 unit_dir, double* out);
-
 /// Length of the leading run with
 ///   fabs(unit_dir.Cross(p_i - anchor)) <= bound,
 /// i.e. how many consecutive points the absorb test accepts before the
 /// first failure. NaN offsets fail the test, exactly like the scalar
-/// `d <= zeta` comparison. Early-exits past the first failing block.
+/// `d <= zeta` comparison.
 std::size_t CountWithin(const double* xs, const double* ys, std::size_t n,
                         Vec2 anchor, Vec2 unit_dir, double bound);
 
 /// Fused extend-mode staging: one pass over xs/ys producing every
-/// intermediate the extend consume test reads. Per element (identical
-/// expressions to the individual kernels above — rel = p_i - anchor is
-/// computed once, but reuse of an identical IEEE value is exact):
-///   r[i]   = |rel|                 (Radii)
-///   off[i] = unit_dir.Cross(rel)   (SignedOffsets vs L)
-///   ra[i]  = ra_unit.Cross(rel)    (SignedOffsets vs R_a)
-///   dot[i] = unit_dir.Dot(rel)     (Dots; only when want_dot — `dot`
-///                                   may be null otherwise)
+/// intermediate the extend consume test reads. Per element:
+///   r[i]   = |p_i - anchor|                               (Radii)
+///   off[i] = SignedPointToLineOffsetDir(p_i, anchor, unit_dir)
+///   ra[i]  = SignedPointToLineOffsetDir(p_i, anchor, ra_unit)
+///   dot[i] = unit_dir.Dot(p_i - anchor)   (only when want_dot — `dot`
+///                                          may be null otherwise)
 void StageExtend(const double* xs, const double* ys, std::size_t n,
                  Vec2 anchor, Vec2 unit_dir, Vec2 ra_unit, bool want_dot,
                  double* r, double* off, double* ra, double* dot);
@@ -119,12 +87,13 @@ struct ExtendAcceptParams {
 /// maxima (so the adjusted-distance sum equals the precomputed constant
 /// and ObserveOffset would not move a maximum), within `zeta` of the
 /// candidate chord, and (when the guard is engaged) inside the drift
-/// budgets. Inputs are the per-point intermediates the other kernels
+/// budgets. Inputs are the per-point intermediates StageExtend
 /// produced: radii `r`, offsets vs L `off`, offsets vs R_a `ra`,
-/// projections `dot` (may be null when !guard). A lane that fails any
+/// projections `dot` (may be null when !guard). A point that fails any
 /// test ends the run — the caller's scalar loop re-decides that point
 /// with full semantics, so this kernel only needs to be conservative,
-/// never creative. NaN fails every test, like every scalar comparison.
+/// never creative. NaN fails every test, like every scalar comparison;
+/// !sum_ok returns 0.
 std::size_t CountExtendAccept(const double* r, const double* off,
                               const double* ra, const double* dot,
                               std::size_t n, const ExtendAcceptParams& params);

@@ -17,7 +17,6 @@
 #include "core/operb_a.h"
 #include "datagen/profiles.h"
 #include "datagen/rng.h"
-#include "geo/simd.h"
 #include "obs/metrics.h"
 #include "traj/trajectory.h"
 
@@ -99,36 +98,29 @@ TEST(AllocationTest, OperbBatchPushSinkPathIsAllocationFree) {
   EXPECT_GT(segments, 10u);
 }
 
-/// The batched SIMD staging path specifically: at every dispatch level
-/// the host supports, a warm stream's span Push must stay allocation-free
-/// (the SoA staging buffers are fixed-size thread_locals, not heap).
-TEST(AllocationTest, OperbBatchPushIsAllocationFreeAtEveryDispatchLevel) {
+/// The batched staging path on a reused stream: after a warm-up pass
+/// and Reset(), span Push stays allocation-free (the SoA staging buffers
+/// are fixed-size thread_locals, not heap).
+TEST(AllocationTest, OperbBatchPushResetReuseIsAllocationFree) {
   const traj::Trajectory t = TestTrajectory(20000);
-  for (geo::simd::Level level :
-       {geo::simd::Level::kScalar, geo::simd::Level::kSse2,
-        geo::simd::Level::kAvx2, geo::simd::Level::kNeon}) {
-    if (!geo::simd::Supported(level)) continue;
-    geo::simd::ForceLevel(level);
-    core::OperbStream stream(core::OperbOptions::Optimized(40.0));
-    std::size_t segments = 0;
-    stream.SetSink(
-        [&segments](const traj::RepresentedSegment&) { ++segments; });
-    // Warm-up pass: first contact may fault in the TLS staging area.
+  core::OperbStream stream(core::OperbOptions::Optimized(40.0));
+  std::size_t segments = 0;
+  stream.SetSink(
+      [&segments](const traj::RepresentedSegment&) { ++segments; });
+  // Warm-up pass: first contact may fault in the TLS staging area.
+  stream.Push(std::span<const geo::Point>(t.points()));
+  stream.Finish();
+  stream.Reset();
+
+  std::size_t allocations = 0;
+  {
+    CountingScope scope;
     stream.Push(std::span<const geo::Point>(t.points()));
     stream.Finish();
-    stream.Reset();
-
-    std::size_t allocations = 0;
-    {
-      CountingScope scope;
-      stream.Push(std::span<const geo::Point>(t.points()));
-      stream.Finish();
-      allocations = scope.count();
-    }
-    EXPECT_EQ(allocations, 0u) << geo::simd::LevelName(level);
-    EXPECT_GT(segments, 10u) << geo::simd::LevelName(level);
+    allocations = scope.count();
   }
-  geo::simd::ClearForcedLevel();
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_GT(segments, 10u);
 }
 
 TEST(AllocationTest, OperbASinkPathIsAllocationFreePerPoint) {

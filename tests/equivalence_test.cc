@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/simplifier.h"
+#include "baselines/streaming.h"
 #include "core/operb.h"
 #include "core/operb_a.h"
 #include "datagen/profiles.h"
@@ -68,38 +69,37 @@ TEST_P(EquivalenceTest, AllPathsMatchGolden) {
   ExpectSegmentsEqual(via_sink, golden, "SimplifyToSink");
 }
 
-/// Forced-scalar vs forced-SIMD: every algorithm, on every golden
-/// profile, must emit byte-identical segments at every dispatch level
-/// the host supports. This is the end-to-end counterpart of the
-/// per-kernel differential suite in simd_kernel_test.cc — it catches a
-/// kernel that is bitwise right in isolation but wired into the batch
-/// staging loop wrongly (mis-sliced windows, stale refresh_params).
+/// The streaming surface the benchmark's fit layer times: one reused
+/// StreamingSimplifier fed a whole span (pinned to the scalar level, as
+/// the benchmark's `geo.simd_fit_speedup` pass does), then Reset() and
+/// fed point by point (unpinned). Both runs must emit the same segments
+/// as the batch simplifier. There is one kernel level, so the pin
+/// changes nothing; the test holds span ≡ per-point ≡ batch for every
+/// algorithm, and Reset() reuse on top.
 TEST_P(EquivalenceTest, DispatchLevelsAreByteIdentical) {
   const auto [algo, kind] = GetParam();
   const traj::Trajectory t = GoldenTrajectory(kind);
-  const auto simplifier = baselines::MakeSimplifier(algo, kGoldenZeta);
-
-  geo::simd::ForceLevel(geo::simd::Level::kScalar);
-  std::vector<traj::RepresentedSegment> scalar_out;
-  simplifier->SimplifyToSink(
-      t, [&scalar_out](const traj::RepresentedSegment& s) {
-        scalar_out.push_back(s);
+  std::vector<traj::RepresentedSegment> want;
+  baselines::MakeSimplifier(algo, kGoldenZeta)
+      ->SimplifyToSink(t, [&want](const traj::RepresentedSegment& s) {
+        want.push_back(s);
       });
 
-  for (geo::simd::Level level :
-       {geo::simd::Level::kSse2, geo::simd::Level::kAvx2,
-        geo::simd::Level::kNeon}) {
-    if (!geo::simd::Supported(level)) continue;
-    geo::simd::ForceLevel(level);
-    std::vector<traj::RepresentedSegment> simd_out;
-    simplifier->SimplifyToSink(
-        t, [&simd_out](const traj::RepresentedSegment& s) {
-          simd_out.push_back(s);
-        });
-    ExpectSegmentsEqual(simd_out, scalar_out,
-                        std::string(geo::simd::LevelName(level)));
-  }
+  const auto stream = baselines::MakeStreamingSimplifier(algo, kGoldenZeta);
+  std::vector<traj::RepresentedSegment> got;
+  stream->SetSink(
+      [&got](const traj::RepresentedSegment& s) { got.push_back(s); });
+  geo::simd::ForceLevel(geo::simd::Level::kScalar);
+  stream->Push(std::span<const geo::Point>(t.points()));
+  stream->Finish();
   geo::simd::ClearForcedLevel();
+  ExpectSegmentsEqual(got, want, "span Push pinned to scalar");
+
+  stream->Reset();
+  got.clear();
+  for (const geo::Point& p : t) stream->Push(p);
+  stream->Finish();
+  ExpectSegmentsEqual(got, want, "per-point Push after Reset");
 }
 
 INSTANTIATE_TEST_SUITE_P(
