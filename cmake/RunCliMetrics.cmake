@@ -172,6 +172,27 @@ if(NOT result EQUAL 2)
     "${result}\n${stderr}")
 endif()
 
+# A run that fails after the writability probe leaves no snapshot file
+# behind: a 0-byte file would break the next snapshot consumer.
+set(probe_snapshot "${WORK_DIR}/probe_left_behind.json")
+file(REMOVE "${probe_snapshot}")
+execute_process(
+  COMMAND "${OPERB_CLI}" --generate "Taxi:1"
+          --metrics-out "${probe_snapshot}"
+  RESULT_VARIABLE result
+  OUTPUT_VARIABLE stdout
+  ERROR_VARIABLE stderr)
+if(NOT result EQUAL 2)
+  message(FATAL_ERROR
+    "failed run with --metrics-out: expected exit 2, got ${result}\n"
+    "${stderr}")
+endif()
+if(EXISTS "${probe_snapshot}")
+  message(FATAL_ERROR
+    "failed run left ${probe_snapshot} behind (the writability probe's "
+    "file)")
+endif()
+
 message(STATUS
   "operb_cli metrics snapshot smoke passed (group + single snapshots "
-  "parse, output transparency holds, 3 negatives)")
+  "parse, output transparency holds, 4 negatives)")

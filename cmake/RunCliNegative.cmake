@@ -35,6 +35,35 @@ set(cases
   "query_with_engine_flags|--query nowhere.store --object 1 --threads 2"
   "query_with_no_verify|--query nowhere.store --object 1 --no-verify"
   "query_at_outside_range|--query nowhere.store --object 1 --from 0 --to 10 --at 500"
+  # Mode exclusions: every flag outside its modes is a usage error.
+  "connect_with_store_out|--connect 127.0.0.1:1 --store-out x.store"
+  "connect_with_group_by_id|--connect 127.0.0.1:1 --group-by-id"
+  "connect_with_plt|--connect 127.0.0.1:1 --plt x.plt"
+  "connect_with_save_input|--connect 127.0.0.1:1 --save-input x.csv"
+  "connect_with_no_verify|--connect 127.0.0.1:1 --no-verify"
+  "connect_with_threads|--connect 127.0.0.1:1 --threads 2"
+  "compact_with_output|--compact nowhere.store --output x.csv"
+  "compact_with_metrics_out|--compact nowhere.store --metrics-out m.json"
+  "query_with_compact|--query nowhere.store --compact nowhere.store"
+  "stats_without_connect|--stats"
+  "server_checkpoint_without_connect|--server-checkpoint x.ckpt"
+  "plt_with_group_by_id|--group-by-id --plt x.plt"
+  # Engine knobs are a contradiction in single-trajectory mode, not a
+  # silent no-op.
+  "single_with_threads|--threads 2"
+  "single_with_shards|--shards 3"
+  "single_with_objects|--generate Taxi:100 --objects 5"
+  # Cross-flag rules.
+  "store_shards_without_store_out|--store-shards 2"
+  "checkpoint_every_without_checkpoint_out|--group-by-id --checkpoint-every 10"
+  "metrics_every_without_metrics_out|--group-by-id --metrics-every 10"
+  "metrics_every_without_group_by_id|--metrics-out m.json --metrics-every 10"
+  "resume_with_clean|--group-by-id --resume x.ckpt --clean"
+  "resume_with_store_out|--group-by-id --resume x.ckpt --store-out x.store"
+  "input_with_generate|--input x.csv --generate Taxi:100"
+  "connect_finish_objects_without_input|--connect 127.0.0.1:1 --finish-objects"
+  "connect_port_zero|--connect 127.0.0.1:0"
+  "trailing_value_flag|--generate Taxi:100 --output"
 )
 
 foreach(case IN LISTS cases)
@@ -61,6 +90,28 @@ foreach(case IN LISTS cases)
   if(stderr MATCHES "OPERB_CHECK")
     message(FATAL_ERROR
       "${label}: bad input reached a CHECK abort\nstderr: ${stderr}")
+  endif()
+endforeach()
+
+# --help exits 0 and names every flag.
+execute_process(
+  COMMAND "${OPERB_CLI}" --help
+  RESULT_VARIABLE result
+  OUTPUT_VARIABLE stdout
+  ERROR_VARIABLE stderr)
+if(NOT result EQUAL 0)
+  message(FATAL_ERROR "--help: expected exit 0, got '${result}'\n${stderr}")
+endif()
+foreach(flag
+    --input --plt --generate --spec --algorithm --zeta --fidelity
+    --group-by-id --threads --shards --objects
+    --checkpoint-out --checkpoint-every --resume --store-out --store-shards
+    --query --object --from --to --at --window --flat-scan --compact
+    --output --save-input --clean --no-verify --metrics-out --metrics-every
+    --connect --finish-objects --server-seal --server-checkpoint
+    --server-metrics --stats --shutdown --help)
+  if(NOT " ${stdout} " MATCHES "[^a-z-]${flag}[^a-z-]")
+    message(FATAL_ERROR "--help does not name ${flag}\n${stdout}")
   endif()
 endforeach()
 

@@ -1,58 +1,36 @@
 // operb_cli: end-to-end command-line driver for the library, built on the
 // public api:: facade (SimplifierSpec + AlgorithmRegistry + Pipeline).
 //
-// Reads a trajectory (plain x,y,t CSV, a GeoLife .plt file, or a synthetic
-// dataset profile), simplifies it with any registered algorithm at a
-// chosen error bound, independently verifies the bound, and prints
-// compression-ratio / timing / error statistics. The simplified
-// representation can be written back out as CSV for plotting.
+// A run is one of five modes. The default simplifies one trajectory (plain
+// x,y,t CSV, GeoLife .plt or a synthetic dataset profile) with any
+// registered algorithm, verifies the error bound independently and prints
+// compression / timing / error statistics. --group-by-id does the same for
+// an interleaved multi-object stream through the sharded StreamEngine;
+// --store-out persists either result as a sharded store, which --query
+// serves and --compact rewrites; --connect talks to a running operb_server.
 //
-// The simplifier is configured by a one-line spec string
-// (ALGORITHM[:key=value,...], see README.md "Public API"); --algorithm,
-// --zeta and --fidelity remain as sugar that edits the spec in place.
-// All spec/flag validation surfaces as a one-line Status message and the
-// usage exit code — bad input never aborts.
-//
-// With --group-by-id the input is a multi-object stream (`id,t,x,y` CSV
-// rows, freely interleaved): every object is simplified independently by
-// the sharded StreamEngine across --threads worker threads, output
-// segments are tagged with their object id, and the bound is verified
-// per object.
-//
-// With --store-out the simplified segments additionally stream into a
-// sharded directory-based trajectory store (src/store: manifest +
-// per-shard segment files, --store-shards N), which --query then serves
-// without re-simplifying: per-object time-range reconstruction
-// (--object [--from --to]), position-at-time (--object --at), and
-// spatio-temporal window queries (--window) answered through a packed
-// R-tree over per-block footer metadata (--flat-scan switches to the
-// linear footer scan, the index's verification oracle). --compact PATH
-// is the admin verb that merges each shard's segment files into dense
-// id-ordered blocks (one manifest generation per shard).
+// Every flag is one row of the table in CliFlags(), which also prints
+// --help and names the modes each flag is legal in. The simplifier is a
+// one-line spec string (README.md "Public API"); --algorithm, --zeta and
+// --fidelity edit it in place. Bad input is a one-line usage error, never
+// an abort.
 //
 // Examples:
 //   operb_cli --input drive.csv --spec OPERB-A:zeta=30 --output out.csv
-//   operb_cli --plt geolife/000/Trajectory/20081023025304.plt --zeta 10
-//   operb_cli --generate SerCar:5000 --spec operb:zeta=40,fidelity=paper
-//   operb_cli --group-by-id --input fleet.csv --threads 4 --output tagged.csv
-//   operb_cli --group-by-id --generate Taxi:500 --objects 1000 --threads 8
-//   operb_cli --group-by-id --generate Taxi:500 --store-out fleet.store
-//             --store-shards 8   (one command line; wrapped here)
-//   operb_cli --query fleet.store --object 3 --from 100 --to 900
-//   operb_cli --query fleet.store --window 1000,2000,4000,5000
-//   operb_cli --compact fleet.store
+//   operb_cli --group-by-id --input fleet.csv --threads 4 --store-out f.store
+//   operb_cli --query f.store --window 1000,2000,4000,5000
 //
 // Exit codes: 0 success (bound verified or --no-verify), 1 bound violation
 // (or: --at time not covered by the store), 2 usage error, 3 I/O error.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <filesystem>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -64,6 +42,7 @@
 #include "datagen/rng.h"
 #include "engine/stream_engine.h"
 #include "eval/metrics.h"
+#include "flag_table.h"
 #include "obs/snapshot.h"
 #include "server/client.h"
 #include "store/compactor.h"
@@ -81,16 +60,29 @@ constexpr int kExitBoundViolation = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitIo = 3;
 
+/// The five mutually exclusive modes; a run selects at most one with its
+/// mode flag, single-trajectory being the default.
+enum Mode : unsigned { kSingle, kGroup, kQuery, kCompact, kConnect };
+
+// Flag::modes masks shared by several rows.
+constexpr unsigned kSimplifyModes =
+    tools::ModeBit(kSingle) | tools::ModeBit(kGroup);
+constexpr unsigned kIngestModes = kSimplifyModes | tools::ModeBit(kConnect);
+constexpr unsigned kQueryShapeModes =
+    tools::ModeBit(kQuery) | tools::ModeBit(kConnect);
+constexpr unsigned kAnswerModes = kSimplifyModes | kQueryShapeModes;
+
 struct CliOptions {
-  // Input: exactly one of csv_path / plt_path / generate.
+  Mode mode = kSingle;
+
+  // Input: at most one of csv_path / plt_path / generate_spec.
   std::string csv_path;
   std::string plt_path;
   std::string generate_spec;  ///< KIND[:POINTS[:SEED]]
 
   api::SimplifierSpec spec;  ///< edited by --spec/--algorithm/--zeta/--fidelity
 
-  // Multi-object engine mode (--group-by-id).
-  bool group_by_id = false;
+  // Engine knobs (--group-by-id; --objects also feeds --connect).
   std::uint64_t threads = 1;
   std::uint64_t shards = 0;   ///< 0 = auto (4 * threads)
   std::uint64_t objects = 8;  ///< synthetic object count for --generate
@@ -100,32 +92,23 @@ struct CliOptions {
   std::string store_out_path;   ///< write a queryable segment store
   std::uint64_t store_shards = 1;  ///< shard count for --store-out
 
-  // Engine checkpoint/restore (--group-by-id only).
+  // Engine checkpoint/restore.
   std::string checkpoint_out_path;   ///< snapshot engine state here
   std::uint64_t checkpoint_every = 0;  ///< 0 = once, after the last update
   std::string resume_path;           ///< restore engine state from here
 
-  // Metrics export (--metrics-out; periodic cadence needs --group-by-id).
   std::string metrics_out_path;     ///< write a registry snapshot here
   std::uint64_t metrics_every = 0;  ///< 0 = once, after the run
   bool clean = false;           ///< repair raw streams before simplifying
   bool verify = true;
-  double verify_slack = 1e-9;
 
-  // Query mode (--query PATH): serves an existing store instead of
-  // simplifying. Parsed into an api::StoreQuery, validated there.
+  /// --query PATH and the query-shape flags (also used by --connect);
+  /// validated by api::StoreQuery.
   api::StoreQuery query;
-  bool query_mode = false;
+  std::string compact_path;  ///< --compact PATH
 
-  // Admin mode (--compact PATH): compacts an existing store in place.
-  bool compact_mode = false;
-  std::string compact_path;
-
-  // Server client mode (--connect HOST:PORT): speaks the daemon
-  // protocol instead of touching local stores. Reuses the input flags
-  // for ingest and the query flags (without --query) for queries.
-  bool connect_mode = false;
-  std::string connect_spec;  ///< HOST:PORT
+  // --connect HOST:PORT and its companions.
+  std::string connect_spec;
   bool finish_objects = false;      ///< FINISH every ingested object
   bool server_stats = false;        ///< print the daemon's STATS reply
   bool server_shutdown = false;     ///< ask the daemon to stop
@@ -134,230 +117,273 @@ struct CliOptions {
   std::string server_metrics_path;     ///< server-side metrics snapshot
 };
 
-void PrintUsage(std::FILE* out) {
+/// Every operb_cli flag, one row each, in --help order. The handlers
+/// write straight into `o`, which must outlive the table.
+tools::FlagTable CliFlags(CliOptions* o) {
+  using namespace tools;  // NOLINT: the row vocabulary
+
+  std::string kinds;
+  for (datagen::DatasetKind kind : datagen::AllDatasetKinds()) {
+    kinds += kinds.empty() ? "" : " | ";
+    kinds += datagen::DatasetName(kind);
+  }
   std::string algorithms;
   for (const std::string& name : api::AlgorithmRegistry::Global().Names()) {
-    if (!algorithms.empty()) algorithms += " | ";
+    algorithms += algorithms.empty() ? "" : " | ";
     algorithms += name;
   }
-  std::fprintf(out,
-               "operb_cli — one-pass error-bounded trajectory simplification "
-               "(OPERB, PVLDB 2017)\n"
-               "\n"
-               "Input (choose one; default --generate SerCar:2000:1):\n"
-               "  --input PATH          plain CSV trajectory: x,y,t rows in "
-               "projected meters\n"
-               "  --plt PATH            GeoLife .plt trajectory "
-               "(lat/lon, projected to local meters)\n"
-               "  --generate SPEC       synthetic profile KIND[:POINTS[:SEED]]"
-               ", KIND one of\n"
-               "                        Taxi | Truck | SerCar | GeoLife\n"
-               "\n"
-               "Simplification (see README.md \"Public API\" for the spec "
-               "grammar):\n"
-               "  --spec SPEC           ALGORITHM[:key=value,...], e.g. "
-               "'operb-a:zeta=30'\n"
-               "                        or 'OPERB:zeta=5,fidelity=paper' "
-               "(default OPERB:zeta=40)\n"
-               "  --algorithm NAME      shorthand: sets the spec's algorithm."
-               " Registered:\n"
-               "                        %s\n"
-               "  --zeta METERS         shorthand: sets the spec's error "
-               "bound (> 0)\n"
-               "  --fidelity MODE       shorthand: guarded | paper — how the "
-               "OPERB family\n"
-               "                        treats the heuristic optimizations' "
-               "bound (see DESIGN.md)\n"
-               "\n"
-               "Multi-object engine mode:\n"
-               "  --group-by-id         treat the input as an interleaved "
-               "id,t,x,y stream and\n"
-               "                        simplify every object concurrently "
-               "(StreamEngine)\n"
-               "  --threads N           engine worker threads (default 1)\n"
-               "  --shards N            engine state-table shards (default "
-               "4 * threads)\n"
-               "  --objects K           with --generate: synthesize K "
-               "objects, round-robin\n"
-               "                        interleaved (default 8)\n"
-               "\n"
-               "Checkpoint/restore (engine mode, requires --group-by-id):\n"
-               "  --checkpoint-out PATH snapshot the engine's complete "
-               "streaming state to\n"
-               "                        PATH (atomic temp-file + rename) "
-               "after the last\n"
-               "                        update — or repeatedly, with "
-               "--checkpoint-every\n"
-               "  --checkpoint-every N  rewrite the checkpoint after every N "
-               "ingested\n"
-               "                        updates (requires --checkpoint-out)\n"
-               "  --resume PATH         restore the engine from a checkpoint "
-               "and feed it the\n"
-               "                        stream's *remainder*; the emitted "
-               "segments are\n"
-               "                        bit-identical to the uninterrupted "
-               "run's tail. The\n"
-               "                        spec and shard count must match the "
-               "checkpoint.\n"
-               "                        Implies --no-verify (verification "
-               "needs the full\n"
-               "                        stream); excludes --clean and "
-               "--store-out\n"
-               "\n"
-               "Store (write side):\n"
-               "  --store-out PATH      additionally persist the simplified "
-               "segments into a\n"
-               "                        sharded queryable store directory "
-               "(both modes;\n"
-               "                        single-trajectory input is stored as "
-               "object 0)\n"
-               "  --store-shards N      partition the store into N shards by "
-               "object-id hash\n"
-               "                        (1..65536, default 1; requires "
-               "--store-out)\n"
-               "\n"
-               "Store (query mode; excludes every simplification flag):\n"
-               "  --query PATH          serve an existing store instead of "
-               "simplifying\n"
-               "  --object ID           reconstruct one object's segments\n"
-               "  --from T / --to T     restrict to a time range (seconds)\n"
-               "  --at T                with --object: interpolated position "
-               "at time T\n"
-               "  --window X0,Y0,X1,Y1  spatio-temporal window query "
-               "(meters; the window\n"
-               "                        is inflated by the store's zeta so "
-               "no original\n"
-               "                        sample inside it can be missed)\n"
-               "  --flat-scan           answer --window with the linear "
-               "footer scan instead\n"
-               "                        of the R-tree index (the verify "
-               "oracle; results are\n"
-               "                        identical, only pruning work "
-               "differs)\n"
-               "\n"
-               "Store (admin mode; excludes every other flag):\n"
-               "  --compact PATH        merge each shard's segment files "
-               "into dense\n"
-               "                        id-ordered blocks, one manifest "
-               "generation per\n"
-               "                        shard; queries return byte-identical "
-               "results\n"
-               "\n"
-               "Output:\n"
-               "  --output PATH         write the piecewise representation as "
-               "CSV (with\n"
-               "                        --group-by-id or --query: id-tagged "
-               "segment rows)\n"
-               "  --save-input PATH     write the (parsed or generated) input "
-               "trajectory as CSV\n"
-               "  --clean               repair raw streams before simplifying "
-               "(drop duplicate and\n"
-               "                        out-of-order samples; per object with "
-               "--group-by-id)\n"
-               "  --no-verify           skip the independent error-bound "
-               "check\n"
-               "\n"
-               "Observability (see DESIGN.md \"Metrics and tracing\"):\n"
-               "  --metrics-out PATH    export a metrics snapshot (every "
-               "engine/store/pipeline\n"
-               "                        registry instrument, versioned JSON, "
-               "atomic temp-file +\n"
-               "                        rename) to PATH after the run; also "
-               "works with --query\n"
-               "  --metrics-every N     additionally rewrite the snapshot "
-               "after every N ingested\n"
-               "                        updates (requires --metrics-out and "
-               "--group-by-id; a\n"
-               "                        failed periodic write is logged and "
-               "counted, never fatal)\n"
-               "\n"
-               "Server client mode (speaks to a running operb_server):\n"
-               "  --connect HOST:PORT   connect to a daemon instead of "
-               "touching local stores.\n"
-               "                        --input/--generate/--objects then "
-               "ingest over the\n"
-               "                        connection; --object/--from/--to/"
-               "--at/--window/\n"
-               "                        --flat-scan/--output query it (the "
-               "answer merges the\n"
-               "                        sealed store with in-flight "
-               "trajectory tails)\n"
-               "  --finish-objects      declare end-of-stream for every "
-               "ingested object\n"
-               "  --server-seal         force the daemon to seal the "
-               "overlay to its store\n"
-               "  --server-checkpoint PATH  daemon writes an engine "
-               "checkpoint to PATH\n"
-               "  --server-metrics PATH daemon writes a metrics snapshot "
-               "to PATH\n"
-               "  --stats               print the daemon's counters\n"
-               "  --shutdown            ask the daemon to stop gracefully\n"
-               "  --help                this text\n",
-               algorithms.c_str());
+  const auto fidelity = [o](const char* value) -> std::string {
+    const std::string_view mode = value;
+    if (mode == "guarded") {
+      o->spec.fidelity = baselines::OperbFidelity::kGuarded;
+    } else if (mode == "paper") {
+      o->spec.fidelity = baselines::OperbFidelity::kPaperFaithful;
+    } else {
+      return "must be 'guarded' or 'paper', got '" + std::string(mode) + "'";
+    }
+    return {};
+  };
+  constexpr std::string_view kIn =
+      "Input (choose one; default --generate SerCar:2000:1):";
+  constexpr std::string_view kSimp =
+      "Simplification (see README.md \"Public API\" for the spec grammar):";
+  constexpr std::string_view kEng = "Multi-object engine:";
+  constexpr std::string_view kStore = "Store:";
+  constexpr std::string_view kQry = "Store queries:";
+  constexpr std::string_view kOut = "Output:";
+  constexpr std::string_view kObs =
+      "Observability (see DESIGN.md \"Metrics and tracing\"):";
+  constexpr std::string_view kCli =
+      "Server client (speaks to a running operb_server):";
+
+  // The integer ceilings catch typos: a wrapped or absurd count fails as a
+  // usage error, not as a massive allocation or thread spawn (every shard
+  // owns a pre-sized ring; every thread is a real std::thread).
+  // --store-shards matches StoreWriterOptions::Validate().
+  std::vector<Flag> rows = {
+      {kIn, "--input", "PATH", kIngestModes, StringValue(&o->csv_path),
+       "plain CSV trajectory: x,y,t rows in projected meters (id,t,x,y rows "
+       "with --group-by-id or --connect)"},
+      {kIn, "--plt", "PATH", ModeBit(kSingle), StringValue(&o->plt_path),
+       "GeoLife .plt trajectory (lat/lon, projected to local meters)"},
+      {kIn, "--generate", "SPEC", kIngestModes, StringValue(&o->generate_spec),
+       "synthetic profile KIND[:POINTS[:SEED]], KIND one of " + kinds},
+      {kSimp, "--spec", "SPEC", kSimplifyModes, SpecValue(&o->spec),
+       "ALGORITHM[:key=value,...], e.g. 'operb-a:zeta=30' or "
+       "'OPERB:zeta=5,fidelity=paper' (default OPERB:zeta=40)"},
+      {kSimp, "--algorithm", "NAME", kSimplifyModes,
+       StringValue(&o->spec.algorithm),
+       "shorthand: sets the spec's algorithm. Registered: " + algorithms},
+      {kSimp, "--zeta", "METERS", kSimplifyModes, FiniteValue(&o->spec.zeta),
+       "shorthand: sets the spec's error bound (> 0)"},
+      {kSimp, "--fidelity", "MODE", kSimplifyModes, fidelity,
+       "shorthand: guarded | paper — how the OPERB family treats the "
+       "heuristic optimizations' bound (see DESIGN.md)"},
+      {kEng, "--group-by-id", "", ModeBit(kGroup), nullptr,
+       "treat the input as an interleaved id,t,x,y stream and simplify "
+       "every object concurrently (StreamEngine)",
+       kGroup},
+      {kEng, "--threads", "N", ModeBit(kGroup),
+       UnsignedValue(&o->threads, 1, 1024),
+       "engine worker threads (default 1)"},
+      {kEng, "--shards", "N", ModeBit(kGroup),
+       UnsignedValue(&o->shards, 0, 65536),
+       "engine state-table shards (default 0 = 4 * threads)"},
+      {kEng, "--objects", "K", ModeBit(kGroup) | ModeBit(kConnect),
+       UnsignedValue(&o->objects, 1, 10'000'000),
+       "with --generate: synthesize K objects, round-robin interleaved "
+       "(default 8)"},
+      {kEng, "--checkpoint-out", "PATH", ModeBit(kGroup),
+       StringValue(&o->checkpoint_out_path),
+       "snapshot the engine's complete streaming state to PATH (atomic "
+       "temp-file + rename) after the last update"},
+      {kEng, "--checkpoint-every", "N", ModeBit(kGroup),
+       UnsignedValue(&o->checkpoint_every, 1, 1'000'000'000),
+       "rewrite the checkpoint after every N ingested updates (requires "
+       "--checkpoint-out)"},
+      {kEng, "--resume", "PATH", ModeBit(kGroup), StringValue(&o->resume_path),
+       "restore the engine from a checkpoint (same spec and shards) and "
+       "feed it the stream's remainder; emits bit-identically the "
+       "uninterrupted run's tail. Implies --no-verify; excludes --clean and "
+       "--store-out"},
+      {kStore, "--store-out", "PATH", kSimplifyModes,
+       StringValue(&o->store_out_path),
+       "additionally persist the simplified segments into a sharded "
+       "queryable store directory (single-trajectory input is object 0)"},
+      {kStore, "--store-shards", "N", kSimplifyModes,
+       UnsignedValue(&o->store_shards, 1, 65536),
+       "partition the store into N shards by object-id hash (default 1; "
+       "requires --store-out)"},
+      {kStore, "--compact", "PATH", ModeBit(kCompact),
+       StringValue(&o->compact_path),
+       "merge each shard's segment files into dense id-ordered blocks (one "
+       "manifest generation per shard); takes no other flag",
+       kCompact},
+      {kQry, "--query", "PATH", ModeBit(kQuery),
+       StringValue(&o->query.store_path),
+       "serve an existing store instead of simplifying", kQuery},
+      {kQry, "--object", "ID", kQueryShapeModes,
+       Marking(&o->query.has_object,
+               UnsignedValue(&o->query.object_id, 0, ~0ull)),
+       "reconstruct one object's segments"},
+      {kQry, "--from", "T", kQueryShapeModes, FiniteValue(&o->query.t_min),
+       "restrict to times >= T (seconds)"},
+      {kQry, "--to", "T", kQueryShapeModes, FiniteValue(&o->query.t_max),
+       "restrict to times <= T (seconds)"},
+      {kQry, "--at", "T", kQueryShapeModes,
+       Marking(&o->query.has_at, FiniteValue(&o->query.at_time)),
+       "with --object: interpolated position at time T"},
+      {kQry, "--window", "X0,Y0,X1,Y1", kQueryShapeModes,
+       Marking(&o->query.has_window, BoxValue(&o->query.window)),
+       "spatio-temporal window query (meters; the window is inflated by the "
+       "store's zeta so no original sample inside it can be missed)"},
+      {kQry, "--flat-scan", "", kQueryShapeModes,
+       SwitchValue(&o->query.use_flat_scan),
+       "answer --window with the linear footer scan instead of the R-tree "
+       "index (the verify oracle; results are identical)"},
+      {kOut, "--output", "PATH", kAnswerModes, StringValue(&o->output_path),
+       "write the piecewise representation as CSV (id-tagged segment rows "
+       "outside single-trajectory mode)"},
+      {kOut, "--save-input", "PATH", kSimplifyModes,
+       StringValue(&o->save_input_path),
+       "write the (parsed or generated) input trajectory as CSV"},
+      {kOut, "--clean", "", kSimplifyModes, SwitchValue(&o->clean),
+       "repair raw streams before simplifying (drop duplicate and "
+       "out-of-order samples; per object with --group-by-id)"},
+      {kOut, "--no-verify", "", kSimplifyModes, SwitchValue(&o->verify, false),
+       "skip the independent error-bound check"},
+      {kObs, "--metrics-out", "PATH", kAnswerModes,
+       StringValue(&o->metrics_out_path),
+       "export a metrics snapshot (every registry instrument, versioned "
+       "JSON, atomic temp-file + rename) to PATH after the run"},
+      {kObs, "--metrics-every", "N", ModeBit(kGroup),
+       UnsignedValue(&o->metrics_every, 1, 1'000'000'000),
+       "also rewrite the snapshot after every N ingested updates (requires "
+       "--metrics-out; a failed periodic write is logged, never fatal)"},
+      {kCli, "--connect", "HOST:PORT", ModeBit(kConnect),
+       StringValue(&o->connect_spec),
+       "talk to a daemon: --input/--generate ingest over the connection, the "
+       "query flags ask it (sealed store merged with in-flight tails)",
+       kConnect},
+      {kCli, "--finish-objects", "", ModeBit(kConnect),
+       SwitchValue(&o->finish_objects),
+       "declare end-of-stream for every ingested object"},
+      {kCli, "--server-seal", "", ModeBit(kConnect),
+       SwitchValue(&o->server_seal),
+       "force the daemon to seal the overlay to its store"},
+      {kCli, "--server-checkpoint", "PATH", ModeBit(kConnect),
+       StringValue(&o->server_checkpoint_path),
+       "daemon writes an engine checkpoint to PATH"},
+      {kCli, "--server-metrics", "PATH", ModeBit(kConnect),
+       StringValue(&o->server_metrics_path),
+       "daemon writes a metrics snapshot to PATH"},
+      {kCli, "--stats", "", ModeBit(kConnect), SwitchValue(&o->server_stats),
+       "print the daemon's counters"},
+      {kCli, "--shutdown", "", ModeBit(kConnect),
+       SwitchValue(&o->server_shutdown), "ask the daemon to stop gracefully"},
+  };
+  return FlagTable("operb_cli",
+                   {"single-trajectory", "--group-by-id", "--query",
+                    "--compact", "--connect"},
+                   std::move(rows));
 }
 
-std::optional<datagen::DatasetKind> ParseDatasetKind(std::string_view name) {
-  for (datagen::DatasetKind kind : datagen::AllDatasetKinds()) {
-    if (name == datagen::DatasetName(kind)) return kind;
+/// The rules that span several flags; the table already enforced each
+/// flag's value and mode. Fills in the defaults the mode implies.
+bool CheckFlagRules(const tools::FlagTable& flags, CliOptions* o) {
+  o->mode = static_cast<Mode>(flags.mode());
+  if (flags.Seen("--store-shards") && o->store_out_path.empty()) {
+    return flags.Reject("--store-shards requires --store-out PATH");
   }
-  return std::nullopt;
-}
-
-/// Strict decimal parse: digits only (no sign, no ERANGE saturation, no
-/// trailing junk). strtoull alone would silently wrap "-5" to 2^64 - 5.
-bool ParseU64(const std::string& s, std::uint64_t* out) {
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
+  if (flags.Seen("--checkpoint-every") && o->checkpoint_out_path.empty()) {
+    return flags.Reject("--checkpoint-every requires --checkpoint-out PATH");
   }
-  errno = 0;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 10);
-  return errno == 0 && end != nullptr && *end == '\0';
+  if (flags.Seen("--metrics-every") && o->metrics_out_path.empty()) {
+    return flags.Reject("--metrics-every requires --metrics-out PATH");
+  }
+  if (!o->resume_path.empty()) {
+    if (o->clean || !o->store_out_path.empty()) {
+      return flags.Reject(
+          "--resume feeds the engine a stream tail and cannot be combined "
+          "with --clean or --store-out (both need the full original "
+          "stream)");
+    }
+    // Verification needs the full original stream too; a resumed run
+    // only has the tail, so the check is skipped rather than mis-run.
+    o->verify = false;
+  }
+  const int inputs = (o->csv_path.empty() ? 0 : 1) +
+                     (o->plt_path.empty() ? 0 : 1) +
+                     (o->generate_spec.empty() ? 0 : 1);
+  if (o->mode == kConnect) {
+    // Same shape rules api::StoreQuery::Validate enforces offline, so
+    // the two paths share one usage contract (and exit code).
+    if (o->query.has_at && !o->query.has_object) {
+      return flags.Reject("--at needs --object (position-at-time)");
+    }
+    if (o->query.has_object && o->query.has_window) {
+      return flags.Reject(
+          "--object and --window are separate queries; issue two");
+    }
+    if (o->query.t_min > o->query.t_max) {
+      return flags.Reject("--from is later than --to");
+    }
+    if (o->finish_objects && inputs == 0) {
+      return flags.Reject(
+          "--finish-objects finishes the objects this invocation ingests; "
+          "give --input or --generate");
+    }
+    return true;
+  }
+  if (o->mode != kSingle && o->mode != kGroup) return true;
+  if (inputs > 1) {
+    return flags.Reject(
+        "--input, --plt and --generate are mutually exclusive");
+  }
+  if (inputs == 0) o->generate_spec = "SerCar:2000:1";
+  // The boundary validation: unknown algorithms, non-positive zeta and
+  // out-of-range algorithm options all surface here as one Status line.
+  if (const Status s = o->spec.Validate(); !s.ok()) {
+    return flags.Reject(s.ToString());
+  }
+  return true;
 }
 
-/// Parsed form of a --generate KIND[:POINTS[:SEED]] spec.
-struct GenerateSpec {
-  datagen::DatasetKind kind = datagen::DatasetKind::kSerCar;
+/// Synthesizes `count` objects from a --generate KIND[:POINTS[:SEED]]
+/// spec, object k seeded with SEED + k. Prints to stderr and returns
+/// nullopt on malformed specs.
+std::optional<std::vector<traj::ObjectTrajectory>> Generate(
+    const std::string& spec, std::uint64_t count) {
+  // Generous ceiling so a typo'd point count fails as a usage error
+  // instead of a multi-gigabyte allocation; it also caps the total over
+  // all objects.
+  constexpr std::uint64_t kMaxPoints = 100'000'000;
   std::uint64_t points = 2000;
   std::uint64_t seed = 1;
-};
-
-/// Parses KIND[:POINTS[:SEED]]; prints to stderr and returns nullopt on
-/// malformed specs.
-std::optional<GenerateSpec> ParseGenerateSpec(const std::string& spec) {
-  // Generous ceiling so a typo'd point count fails as a usage error
-  // instead of a multi-gigabyte allocation.
-  constexpr std::uint64_t kMaxGeneratedPoints = 100'000'000;
-
-  GenerateSpec out;
-  std::string kind_name = spec;
-
   const std::size_t colon1 = spec.find(':');
+  const std::size_t colon2 = spec.find(':', colon1 + 1);
   if (colon1 != std::string::npos) {
-    kind_name = spec.substr(0, colon1);
-    const std::string rest = spec.substr(colon1 + 1);
-    const std::size_t colon2 = rest.find(':');
-    const std::string points_str =
-        colon2 == std::string::npos ? rest : rest.substr(0, colon2);
-    if (!ParseU64(points_str, &out.points) || out.points < 2 ||
-        out.points > kMaxGeneratedPoints) {
+    if (!tools::ParseU64(spec.substr(colon1 + 1, colon2 - colon1 - 1),
+                         &points) ||
+        points < 2 || points > kMaxPoints) {
       std::fprintf(stderr,
                    "operb_cli: bad point count in --generate '%s' (need "
                    "2..%llu)\n",
-                   spec.c_str(),
-                   static_cast<unsigned long long>(kMaxGeneratedPoints));
+                   spec.c_str(), static_cast<unsigned long long>(kMaxPoints));
       return std::nullopt;
     }
-    if (colon2 != std::string::npos) {
-      if (!ParseU64(rest.substr(colon2 + 1), &out.seed)) {
-        std::fprintf(stderr, "operb_cli: bad seed in --generate '%s'\n",
-                     spec.c_str());
-        return std::nullopt;
-      }
+    if (colon2 != std::string::npos &&
+        !tools::ParseU64(spec.substr(colon2 + 1), &seed)) {
+      std::fprintf(stderr, "operb_cli: bad seed in --generate '%s'\n",
+                   spec.c_str());
+      return std::nullopt;
     }
   }
-
-  const auto kind = ParseDatasetKind(kind_name);
+  const std::string kind_name = spec.substr(0, colon1);
+  std::optional<datagen::DatasetKind> kind;
+  for (datagen::DatasetKind k : datagen::AllDatasetKinds()) {
+    if (kind_name == datagen::DatasetName(k)) kind = k;
+  }
   if (!kind) {
     std::fprintf(stderr,
                  "operb_cli: unknown dataset kind '%s' (expected Taxi, "
@@ -365,510 +391,131 @@ std::optional<GenerateSpec> ParseGenerateSpec(const std::string& spec) {
                  kind_name.c_str());
     return std::nullopt;
   }
-  out.kind = *kind;
-  return out;
+  if (count > kMaxPoints / points) {
+    std::fprintf(stderr,
+                 "operb_cli: --objects %llu x %llu points exceeds the "
+                 "%llu-point generation ceiling\n",
+                 static_cast<unsigned long long>(count),
+                 static_cast<unsigned long long>(points),
+                 static_cast<unsigned long long>(kMaxPoints));
+    return std::nullopt;
+  }
+  std::vector<traj::ObjectTrajectory> objects;
+  objects.reserve(count);
+  for (std::uint64_t k = 0; k < count; ++k) {
+    datagen::Rng rng(seed + k);
+    objects.push_back({k, datagen::GenerateTrajectory(
+                              datagen::DatasetProfile::For(*kind), points,
+                              &rng)});
+  }
+  return objects;
 }
 
-std::optional<traj::Trajectory> GenerateFromSpec(const std::string& spec) {
-  const std::optional<GenerateSpec> parsed = ParseGenerateSpec(spec);
-  if (!parsed) return std::nullopt;
-  datagen::Rng rng(parsed->seed);
-  return datagen::GenerateTrajectory(datagen::DatasetProfile::For(parsed->kind),
-                                     parsed->points, &rng);
+/// Prints `s` as the one-line diagnostic and returns `exit_code`.
+int Fail(const Status& s, int exit_code) {
+  std::fprintf(stderr, "operb_cli: %s\n", s.ToString().c_str());
+  return exit_code;
 }
 
-/// Strict finite-double parse (no trailing junk, no inf/nan).
-bool ParseFiniteDouble(const char* value, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(value, &end);
-  return end != nullptr && end != value && *end == '\0' &&
-         std::isfinite(*out);
+/// The value of `r`, or nullopt after printing its Status.
+template <typename T>
+std::optional<T> ValueOrPrint(Result<T> r) {
+  if (!r.ok()) {
+    Fail(r.status(), kExitIo);
+    return std::nullopt;
+  }
+  return std::move(r).value();
 }
 
-/// Parses argv into `options`; returns false (after printing a message) on
-/// malformed input. `--help` sets `wants_help` instead.
-bool ParseArgs(int argc, char** argv, CliOptions* options, bool* wants_help) {
-  auto need_value = [&](int i, std::string_view flag) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "operb_cli: %.*s requires a value\n",
-                   static_cast<int>(flag.size()), flag.data());
-      return nullptr;
-    }
-    return argv[i + 1];
-  };
-
-  bool spec_flag_seen = false;    // --spec/--algorithm/--zeta/--fidelity
-  bool query_flag_seen = false;   // --object/--from/.../--window/--flat-scan
-  bool engine_flag_seen = false;  // --threads/--shards/--objects
-  bool no_verify_seen = false;
-  bool store_shards_seen = false;
-  bool checkpoint_flag_seen = false;  // --checkpoint-out/-every/--resume
-  bool checkpoint_every_seen = false;
-  bool metrics_every_seen = false;
-  bool thread_flags_seen = false;  // --threads/--shards (not --objects)
-  bool server_flag_seen = false;   // the --connect-only companions
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      *wants_help = true;
-      return true;
-    } else if (arg == "--input" || arg == "--plt" || arg == "--generate" ||
-               arg == "--spec" || arg == "--algorithm" || arg == "--zeta" ||
-               arg == "--fidelity" || arg == "--output" ||
-               arg == "--save-input" || arg == "--threads" ||
-               arg == "--shards" || arg == "--objects" ||
-               arg == "--store-out" || arg == "--store-shards" ||
-               arg == "--checkpoint-out" || arg == "--checkpoint-every" ||
-               arg == "--resume" ||
-               arg == "--metrics-out" || arg == "--metrics-every" ||
-               arg == "--query" || arg == "--compact" ||
-               arg == "--connect" || arg == "--server-checkpoint" ||
-               arg == "--server-metrics" ||
-               arg == "--object" || arg == "--from" || arg == "--to" ||
-               arg == "--at" || arg == "--window") {
-      const char* value = need_value(i, arg);
-      if (value == nullptr) return false;
-      ++i;
-      if (arg == "--input") {
-        options->csv_path = value;
-      } else if (arg == "--plt") {
-        options->plt_path = value;
-      } else if (arg == "--generate") {
-        options->generate_spec = value;
-      } else if (arg == "--spec") {
-        // Whole-spec replacement; later --algorithm/--zeta/--fidelity
-        // flags still edit the result (flags apply in order).
-        spec_flag_seen = true;
-        Result<api::SimplifierSpec> parsed = api::SimplifierSpec::Parse(value);
-        if (!parsed.ok()) {
-          std::fprintf(stderr, "operb_cli: %s\n",
-                       parsed.status().ToString().c_str());
-          return false;
-        }
-        options->spec = std::move(parsed).value();
-      } else if (arg == "--algorithm") {
-        spec_flag_seen = true;
-        options->spec.algorithm = value;
-      } else if (arg == "--zeta") {
-        spec_flag_seen = true;
-        char* end = nullptr;
-        options->spec.zeta = std::strtod(value, &end);
-        if (end == nullptr || *end != '\0' ||
-            !std::isfinite(options->spec.zeta)) {
-          std::fprintf(stderr,
-                       "operb_cli: --zeta must be a number, got '%s'\n",
-                       value);
-          return false;
-        }
-      } else if (arg == "--fidelity") {
-        spec_flag_seen = true;
-        const std::string_view mode = value;
-        if (mode == "guarded") {
-          options->spec.fidelity = baselines::OperbFidelity::kGuarded;
-        } else if (mode == "paper") {
-          options->spec.fidelity = baselines::OperbFidelity::kPaperFaithful;
-        } else {
-          std::fprintf(stderr,
-                       "operb_cli: --fidelity must be 'guarded' or 'paper', "
-                       "got '%s'\n",
-                       value);
-          return false;
-        }
-      } else if (arg == "--output") {
-        options->output_path = value;
-      } else if (arg == "--save-input") {
-        options->save_input_path = value;
-      } else if (arg == "--store-out") {
-        options->store_out_path = value;
-      } else if (arg == "--store-shards") {
-        store_shards_seen = true;
-        // Same ceiling as the writer's own StoreWriterOptions::Validate();
-        // rejecting here keeps the error a one-line usage message.
-        constexpr std::uint64_t kMaxStoreShards = 65536;
-        if (!ParseU64(value, &options->store_shards) ||
-            options->store_shards == 0 ||
-            options->store_shards > kMaxStoreShards) {
-          std::fprintf(stderr,
-                       "operb_cli: --store-shards must be an integer in "
-                       "1..%llu, got '%s'\n",
-                       static_cast<unsigned long long>(kMaxStoreShards),
-                       value);
-          return false;
-        }
-      } else if (arg == "--checkpoint-out") {
-        checkpoint_flag_seen = true;
-        options->checkpoint_out_path = value;
-      } else if (arg == "--checkpoint-every") {
-        checkpoint_flag_seen = true;
-        checkpoint_every_seen = true;
-        // Same typo ceiling as the generation flags: a wrapped or absurd
-        // cadence fails as a usage error.
-        constexpr std::uint64_t kMaxCheckpointEvery = 1'000'000'000;
-        if (!ParseU64(value, &options->checkpoint_every) ||
-            options->checkpoint_every == 0 ||
-            options->checkpoint_every > kMaxCheckpointEvery) {
-          std::fprintf(stderr,
-                       "operb_cli: --checkpoint-every must be an integer in "
-                       "1..%llu, got '%s'\n",
-                       static_cast<unsigned long long>(kMaxCheckpointEvery),
-                       value);
-          return false;
-        }
-      } else if (arg == "--resume") {
-        checkpoint_flag_seen = true;
-        options->resume_path = value;
-      } else if (arg == "--metrics-out") {
-        options->metrics_out_path = value;
-      } else if (arg == "--metrics-every") {
-        metrics_every_seen = true;
-        // Same typo ceiling as --checkpoint-every.
-        constexpr std::uint64_t kMaxMetricsEvery = 1'000'000'000;
-        if (!ParseU64(value, &options->metrics_every) ||
-            options->metrics_every == 0 ||
-            options->metrics_every > kMaxMetricsEvery) {
-          std::fprintf(stderr,
-                       "operb_cli: --metrics-every must be an integer in "
-                       "1..%llu, got '%s'\n",
-                       static_cast<unsigned long long>(kMaxMetricsEvery),
-                       value);
-          return false;
-        }
-      } else if (arg == "--query") {
-        options->query_mode = true;
-        options->query.store_path = value;
-      } else if (arg == "--compact") {
-        options->compact_mode = true;
-        options->compact_path = value;
-      } else if (arg == "--connect") {
-        options->connect_mode = true;
-        options->connect_spec = value;
-      } else if (arg == "--server-checkpoint") {
-        server_flag_seen = true;
-        options->server_checkpoint_path = value;
-      } else if (arg == "--server-metrics") {
-        server_flag_seen = true;
-        options->server_metrics_path = value;
-      } else if (arg == "--object") {
-        query_flag_seen = true;
-        std::uint64_t id = 0;
-        if (!ParseU64(value, &id)) {
-          std::fprintf(stderr,
-                       "operb_cli: --object must be an unsigned id, got "
-                       "'%s'\n",
-                       value);
-          return false;
-        }
-        options->query.has_object = true;
-        options->query.object_id = id;
-      } else if (arg == "--from" || arg == "--to" || arg == "--at") {
-        query_flag_seen = true;
-        double v = 0.0;
-        if (!ParseFiniteDouble(value, &v)) {
-          std::fprintf(stderr,
-                       "operb_cli: %.*s must be a finite timestamp, got "
-                       "'%s'\n",
-                       static_cast<int>(arg.size()), arg.data(), value);
-          return false;
-        }
-        if (arg == "--from") {
-          options->query.t_min = v;
-        } else if (arg == "--to") {
-          options->query.t_max = v;
-        } else {
-          options->query.has_at = true;
-          options->query.at_time = v;
-        }
-      } else if (arg == "--window") {
-        query_flag_seen = true;
-        double c[4];
-        const char* p = value;
-        bool ok = true;
-        for (int k = 0; k < 4 && ok; ++k) {
-          char* end = nullptr;
-          c[k] = std::strtod(p, &end);
-          ok = end != p && std::isfinite(c[k]) &&
-               (k == 3 ? *end == '\0' : *end == ',');
-          p = end + 1;
-        }
-        if (!ok) {
-          std::fprintf(stderr,
-                       "operb_cli: --window must be X0,Y0,X1,Y1 (four "
-                       "comma-separated meters), got '%s'\n",
-                       value);
-          return false;
-        }
-        // Corner order is free; the box normalizes it.
-        options->query.has_window = true;
-        options->query.window = {};
-        options->query.window.Extend(geo::Vec2{c[0], c[1]});
-        options->query.window.Extend(geo::Vec2{c[2], c[3]});
-      } else if (arg == "--threads" || arg == "--shards" ||
-                 arg == "--objects") {
-        engine_flag_seen = true;
-        if (arg != "--objects") thread_flags_seen = true;
-        // Tight per-flag ceilings so a typo fails as a usage error, not
-        // as a massive allocation or thread spawn (every shard owns a
-        // pre-sized ring; every thread is a real std::thread).
-        const bool zero_ok = arg == "--shards";  // 0 = auto
-        const std::uint64_t max = arg == "--threads"   ? 1024
-                                  : arg == "--shards"  ? 65536
-                                                       : 10'000'000;
-        std::uint64_t n = 0;
-        if (!ParseU64(value, &n) || (!zero_ok && n == 0) || n > max) {
-          std::fprintf(stderr,
-                       "operb_cli: %.*s must be an integer in %c..%llu, got "
-                       "'%s'\n",
-                       static_cast<int>(arg.size()), arg.data(),
-                       zero_ok ? '0' : '1',
-                       static_cast<unsigned long long>(max), value);
-          return false;
-        }
-        if (arg == "--threads") {
-          options->threads = n;
-        } else if (arg == "--shards") {
-          options->shards = n;
-        } else {
-          options->objects = n;
-        }
-      } else {
-        // Unreachable while the membership list above and this chain
-        // agree; catches a flag added to one but not the other.
-        std::fprintf(stderr, "operb_cli: internal error: unhandled flag "
-                             "'%s'\n",
-                     std::string(arg).c_str());
-        return false;
-      }
-    } else if (arg == "--flat-scan") {
-      query_flag_seen = true;
-      options->query.use_flat_scan = true;
-    } else if (arg == "--finish-objects") {
-      server_flag_seen = true;
-      options->finish_objects = true;
-    } else if (arg == "--stats") {
-      server_flag_seen = true;
-      options->server_stats = true;
-    } else if (arg == "--shutdown") {
-      server_flag_seen = true;
-      options->server_shutdown = true;
-    } else if (arg == "--server-seal") {
-      server_flag_seen = true;
-      options->server_seal = true;
-    } else if (arg == "--clean") {
-      options->clean = true;
-    } else if (arg == "--no-verify") {
-      options->verify = false;
-      no_verify_seen = true;
-    } else if (arg == "--group-by-id") {
-      options->group_by_id = true;
-    } else {
-      std::fprintf(stderr, "operb_cli: unknown argument '%s'\n",
-                   std::string(arg).c_str());
-      return false;
-    }
-  }
-
-  const int inputs = (options->csv_path.empty() ? 0 : 1) +
-                     (options->plt_path.empty() ? 0 : 1) +
-                     (options->generate_spec.empty() ? 0 : 1);
-  if (options->connect_mode) {
-    // Client mode talks to a daemon: every local-store, simplification
-    // and engine flag is a contradiction (the server owns the spec, the
-    // engine and the store). Ingest input and query flags pass through.
-    if (options->compact_mode || options->query_mode ||
-        !options->store_out_path.empty() || store_shards_seen ||
-        options->group_by_id || options->clean || spec_flag_seen ||
-        thread_flags_seen || no_verify_seen || checkpoint_flag_seen ||
-        metrics_every_seen || !options->plt_path.empty() ||
-        !options->save_input_path.empty()) {
-      std::fprintf(stderr,
-                   "operb_cli: --connect speaks to a running operb_server "
-                   "and cannot be combined with local store, "
-                   "simplification or engine flags\n");
-      return false;
-    }
-    // Same shape rules api::StoreQuery::Validate enforces offline, so
-    // the two paths share one usage contract (and exit code).
-    if (options->query.has_at && !options->query.has_object) {
-      std::fprintf(stderr,
-                   "operb_cli: --at needs --object (position-at-time)\n");
-      return false;
-    }
-    if (options->query.has_object && options->query.has_window) {
-      std::fprintf(stderr,
-                   "operb_cli: --object and --window are separate queries; "
-                   "issue two\n");
-      return false;
-    }
-    if (options->query.t_min > options->query.t_max) {
-      std::fprintf(stderr, "operb_cli: --from is later than --to\n");
-      return false;
-    }
-    if (options->finish_objects && inputs == 0) {
-      std::fprintf(stderr,
-                   "operb_cli: --finish-objects finishes the objects this "
-                   "invocation ingests; give --input or --generate\n");
-      return false;
-    }
-    return true;
-  }
-  if (server_flag_seen) {
-    std::fprintf(stderr,
-                 "operb_cli: --finish-objects/--stats/--shutdown/"
-                 "--server-seal/--server-checkpoint/--server-metrics "
-                 "require --connect HOST:PORT\n");
-    return false;
-  }
-  if (options->compact_mode) {
-    // Admin verb: it rewrites an existing store in place; combining it
-    // with any other mode or flag is a contradiction.
-    if (inputs > 0 || options->query_mode || query_flag_seen ||
-        !options->store_out_path.empty() || store_shards_seen ||
-        options->group_by_id || options->clean || spec_flag_seen ||
-        engine_flag_seen || no_verify_seen || checkpoint_flag_seen ||
-        !options->metrics_out_path.empty() || metrics_every_seen ||
-        !options->output_path.empty() ||
-        !options->save_input_path.empty()) {
-      std::fprintf(stderr,
-                   "operb_cli: --compact is an exclusive admin verb and "
-                   "cannot be combined with any other flag\n");
-      return false;
-    }
-    return true;
-  }
-  if (options->query_mode) {
-    // Query mode serves an existing store: nothing is ingested,
-    // simplified or verified, so every write-side flag — including the
-    // engine knobs and --no-verify — is a contradiction, not a no-op.
-    // (--metrics-out stays legal: the snapshot then carries the
-    // store.query.* instruments this query just exercised.)
-    if (inputs > 0 || !options->store_out_path.empty() ||
-        store_shards_seen || options->group_by_id || options->clean ||
-        spec_flag_seen || engine_flag_seen || no_verify_seen ||
-        checkpoint_flag_seen || metrics_every_seen ||
-        !options->save_input_path.empty()) {
-      std::fprintf(stderr,
-                   "operb_cli: --query serves an existing store and cannot "
-                   "be combined with input, simplification, engine or "
-                   "--store-out flags\n");
-      return false;
-    }
-    return true;  // query shape itself is validated by api::StoreQuery
-  }
-  if (query_flag_seen) {
-    std::fprintf(stderr,
-                 "operb_cli: --object/--from/--to/--at/--window/--flat-scan "
-                 "require --query PATH\n");
-    return false;
-  }
-  if (store_shards_seen && options->store_out_path.empty()) {
-    std::fprintf(stderr,
-                 "operb_cli: --store-shards shards a store written by "
-                 "--store-out PATH\n");
-    return false;
-  }
-  if (checkpoint_flag_seen && !options->group_by_id) {
-    // The checkpoint is of StreamEngine shard state; the single-
-    // trajectory flow never constructs an engine.
-    std::fprintf(stderr,
-                 "operb_cli: --checkpoint-out/--checkpoint-every/--resume "
-                 "snapshot the streaming engine and require --group-by-id\n");
-    return false;
-  }
-  if (checkpoint_every_seen && options->checkpoint_out_path.empty()) {
-    std::fprintf(stderr,
-                 "operb_cli: --checkpoint-every sets the cadence of "
-                 "--checkpoint-out PATH\n");
-    return false;
-  }
-  if (metrics_every_seen && options->metrics_out_path.empty()) {
-    std::fprintf(stderr,
-                 "operb_cli: --metrics-every sets the cadence of "
-                 "--metrics-out PATH\n");
-    return false;
-  }
-  if (metrics_every_seen && !options->group_by_id) {
-    // Periodic snapshots ride the engine path's chunked ingest loop;
-    // the single-trajectory flow pushes everything at once.
-    std::fprintf(stderr,
-                 "operb_cli: --metrics-every requires --group-by-id (the "
-                 "final --metrics-out snapshot works in every mode)\n");
-    return false;
-  }
-  if (!options->resume_path.empty()) {
-    if (options->clean || !options->store_out_path.empty()) {
-      std::fprintf(stderr,
-                   "operb_cli: --resume feeds the engine a stream tail and "
-                   "cannot be combined with --clean or --store-out (both "
-                   "need the full original stream)\n");
-      return false;
-    }
-    // Verification needs the full original stream too; a resumed run
-    // only has the tail, so the check is skipped rather than mis-run.
-    options->verify = false;
-  }
-  if (inputs > 1) {
-    std::fprintf(stderr,
-                 "operb_cli: --input, --plt and --generate are mutually "
-                 "exclusive\n");
-    return false;
-  }
-  if (inputs == 0) options->generate_spec = "SerCar:2000:1";
-  if (options->group_by_id && !options->plt_path.empty()) {
-    std::fprintf(stderr,
-                 "operb_cli: --plt is single-trajectory; --group-by-id "
-                 "needs --input (id,t,x,y CSV) or --generate\n");
-    return false;
-  }
-  // The boundary validation: unknown algorithms, non-positive zeta and
-  // out-of-range algorithm options all surface here as one Status line.
-  if (const Status s = options->spec.Validate(); !s.ok()) {
-    std::fprintf(stderr, "operb_cli: %s\n", s.ToString().c_str());
-    return false;
-  }
-  return true;
+/// The exit code of a failed LoadInput/LoadUpdates: a file that could not
+/// be read is I/O, a bad --generate spec is usage.
+int LoadFailureExit(const CliOptions& options) {
+  return options.csv_path.empty() && options.plt_path.empty() ? kExitUsage
+                                                              : kExitIo;
 }
 
 /// Loads or synthesizes the interleaved multi-object update stream.
 std::optional<std::vector<traj::ObjectUpdate>> LoadUpdates(
-    const CliOptions& options, std::string* source_label, int* error_exit) {
-  *error_exit = kExitUsage;
+    const CliOptions& options, std::string* source_label) {
   if (!options.csv_path.empty()) {
     *source_label = "multi-object csv " + options.csv_path;
-    Result<std::vector<traj::ObjectUpdate>> r =
-        traj::ReadMultiObjectCsv(options.csv_path);
-    if (!r.ok()) {
-      std::fprintf(stderr, "operb_cli: %s\n", r.status().ToString().c_str());
-      *error_exit = kExitIo;
-      return std::nullopt;
-    }
-    return std::move(r).value();
+    return ValueOrPrint(traj::ReadMultiObjectCsv(options.csv_path));
   }
-  const std::optional<GenerateSpec> spec =
-      ParseGenerateSpec(options.generate_spec);
-  if (!spec) return std::nullopt;
-  // Same typo guard as the per-trajectory ceiling in ParseGenerateSpec,
-  // applied to the objects x points total.
-  constexpr std::uint64_t kMaxTotalPoints = 100'000'000;
-  if (options.objects > kMaxTotalPoints / spec->points) {
-    std::fprintf(stderr,
-                 "operb_cli: --objects %llu x %llu points exceeds the "
-                 "%llu-point generation ceiling\n",
-                 static_cast<unsigned long long>(options.objects),
-                 static_cast<unsigned long long>(spec->points),
-                 static_cast<unsigned long long>(kMaxTotalPoints));
-    return std::nullopt;
-  }
+  const std::optional<std::vector<traj::ObjectTrajectory>> objects =
+      Generate(options.generate_spec, options.objects);
+  if (!objects) return std::nullopt;
   *source_label = "generated " + options.generate_spec + " x" +
                   std::to_string(options.objects) + " objects";
-  std::vector<traj::ObjectTrajectory> objects;
-  objects.reserve(options.objects);
-  for (std::uint64_t k = 0; k < options.objects; ++k) {
-    datagen::Rng rng(spec->seed + k);
-    objects.push_back(
-        {k, datagen::GenerateTrajectory(datagen::DatasetProfile::For(spec->kind),
-                                        spec->points, &rng)});
+  return traj::InterleaveRoundRobin(*objects);
+}
+
+/// Loads the input trajectory, or returns nullopt after printing the error.
+std::optional<traj::Trajectory> LoadInput(const CliOptions& options,
+                                          std::string* source_label) {
+  if (!options.csv_path.empty()) {
+    *source_label = "csv " + options.csv_path;
+    if (!options.clean) return ValueOrPrint(traj::ReadCsv(options.csv_path));
+    // Raw parse: the validating reader would reject the duplicate /
+    // out-of-order rows the --clean stage exists to repair.
+    const std::optional<std::vector<geo::Point>> points =
+        ValueOrPrint(traj::ReadCsvPoints(options.csv_path));
+    if (!points) return std::nullopt;
+    traj::Trajectory raw;
+    raw.reserve(points->size());
+    for (const geo::Point& p : *points) raw.AppendUnchecked(p);
+    return raw;
   }
-  return traj::InterleaveRoundRobin(objects);
+  if (!options.plt_path.empty()) {
+    *source_label = "plt " + options.plt_path;
+    return ValueOrPrint(traj::ReadGeoLifePlt(options.plt_path));
+  }
+  *source_label = "generated " + options.generate_spec;
+  std::optional<std::vector<traj::ObjectTrajectory>> generated =
+      Generate(options.generate_spec, 1);
+  if (!generated) return std::nullopt;
+  return std::move(generated->front().trajectory);
+}
+
+/// Writes id-tagged segment rows to `path` (if set) and prints the
+/// "wrote:" line.
+int WriteTaggedCsv(std::span<const traj::TaggedSegment> segments,
+                   const std::string& path) {
+  if (path.empty()) return kExitOk;
+  if (const Status s = traj::WriteTaggedSegmentsCsv(segments, path);
+      !s.ok()) {
+    return Fail(s, kExitIo);
+  }
+  std::printf("wrote:     %s\n", path.c_str());
+  return kExitOk;
+}
+
+/// Writes a query answer; the offline --query and the --connect flows
+/// share this one CSV path, which makes their files byte-comparable.
+int WriteQueryAnswer(std::span<const traj::TimedSegment> answer,
+                     const std::string& path) {
+  std::vector<traj::TaggedSegment> tagged;
+  tagged.reserve(answer.size());
+  for (const traj::TimedSegment& s : answer) {
+    tagged.push_back({s.object_id, s.segment});
+  }
+  return WriteTaggedCsv(tagged, path);
+}
+
+/// Prints the Clean-stage summary line of a pipeline report.
+void PrintCleanedLine(const api::PipelineReport& report) {
+  std::printf("cleaned:   kept %zu of %zu (%zu duplicate, %zu out-of-order)\n",
+              report.points_kept, report.points_in,
+              report.cleaner.duplicates_dropped,
+              report.cleaner.out_of_order_dropped);
+}
+
+/// Prints the simplification time of a pipeline report over `points`.
+void PrintTimeLine(const api::PipelineReport& report, std::size_t points) {
+  const double elapsed_ms = report.simplify_seconds * 1e3;
+  const double ns_per_point = elapsed_ms * 1e6 / points;
+  std::printf("time:      %.3f ms  (%.0f ns/point, %.2f M points/s)\n",
+              elapsed_ms, ns_per_point,
+              ns_per_point > 0.0 ? 1e3 / ns_per_point : 0.0);
 }
 
 /// Prints the WriteStore-stage summary line of a pipeline report.
@@ -892,41 +539,41 @@ void PrintMetricsLine(const api::PipelineReport& report) {
               report.snapshot_failures);
 }
 
-/// Writes the final --metrics-out snapshot for the modes that do not run
-/// the Pipeline facade (query mode). Returns the exit code to use.
+/// Writes the final --metrics-out snapshot of the query and connect
+/// modes, which bypass the Pipeline; returns the exit code to use.
 int WriteFinalMetricsSnapshot(const CliOptions& options, int exit_code) {
   if (options.metrics_out_path.empty() || exit_code == kExitUsage) {
     return exit_code;
   }
   if (const Status s = obs::WriteSnapshotJson(options.metrics_out_path);
       !s.ok()) {
-    std::fprintf(stderr, "operb_cli: %s\n", s.ToString().c_str());
-    return kExitIo;
+    return Fail(s, kExitIo);
   }
   std::printf("metrics:   %s  (1 snapshot(s) written, 0 failure(s))\n",
               options.metrics_out_path.c_str());
   return exit_code;
 }
 
+/// Maps a failed store or server operation onto the exit-code contract.
+int StatusExit(const Status& s) {
+  switch (s.code()) {
+    case StatusCode::kIOError:
+    case StatusCode::kCorruption:
+      return Fail(s, kExitIo);
+    case StatusCode::kNotFound:
+      // --at outside the object's stored time span: a data answer
+      // ("not there"), not a usage mistake.
+      return Fail(s, kExitBoundViolation);
+    default:
+      return Fail(s, kExitUsage);
+  }
+}
+
 /// The --query flow: open the store, run one query, print the matched
 /// segments and the skip-scan evidence.
 int RunQuery(const CliOptions& options) {
   Result<api::StoreQueryReport> run = api::RunStoreQuery(options.query);
-  if (!run.ok()) {
-    std::fprintf(stderr, "operb_cli: %s\n",
-                 run.status().ToString().c_str());
-    switch (run.status().code()) {
-      case StatusCode::kIOError:
-      case StatusCode::kCorruption:
-        return kExitIo;
-      case StatusCode::kNotFound:
-        // --at outside the object's stored time span: a data answer
-        // ("not there"), not a usage mistake.
-        return kExitBoundViolation;
-      default:
-        return kExitUsage;
-    }
-  }
+  if (!run.ok()) return StatusExit(run.status());
   const api::StoreQueryReport& report = *run;
   std::printf("store:     %s  (%zu blocks, %llu segments, zeta %g m, "
               "%zu shard(s), %zu file(s), generation %llu%s%s)\n",
@@ -963,48 +610,17 @@ int RunQuery(const CliOptions& options) {
   }
   std::printf("matched:   %llu segment(s)\n",
               static_cast<unsigned long long>(stats.segments_matched));
-  if (!options.output_path.empty()) {
-    std::vector<traj::TaggedSegment> tagged;
-    tagged.reserve(report.segments.size());
-    for (const traj::TimedSegment& s : report.segments) {
-      tagged.push_back({s.object_id, s.segment});
-    }
-    if (const Status s = traj::WriteTaggedSegmentsCsv(
-            std::span<const traj::TaggedSegment>(tagged),
-            options.output_path);
-        !s.ok()) {
-      std::fprintf(stderr, "operb_cli: %s\n", s.ToString().c_str());
-      return kExitIo;
-    }
-    std::printf("wrote:     %s\n", options.output_path.c_str());
-  }
-  return kExitOk;
-}
-
-/// Maps a Status from the server onto the CLI exit-code contract —
-/// the same mapping RunQuery applies to offline query failures.
-int ServerStatusExit(const Status& s) {
-  switch (s.code()) {
-    case StatusCode::kIOError:
-    case StatusCode::kCorruption:
-      return kExitIo;
-    case StatusCode::kNotFound:
-      return kExitBoundViolation;
-    default:
-      return kExitUsage;
-  }
+  return WriteQueryAnswer(report.segments, options.output_path);
 }
 
 /// The --connect client flow: ingest, admin verbs, one query, stats,
-/// shutdown — in that order, over one connection. Query answers are
-/// written with the same CSV path as the offline --query flow, which is
-/// what makes the two byte-comparable.
+/// shutdown — in that order, over one connection.
 int RunConnect(const CliOptions& options) {
   const std::size_t colon = options.connect_spec.rfind(':');
   std::uint64_t port = 0;
   if (colon == std::string::npos || colon == 0 ||
-      !ParseU64(options.connect_spec.substr(colon + 1), &port) || port == 0 ||
-      port > 65535) {
+      !tools::ParseU64(options.connect_spec.substr(colon + 1), &port) ||
+      port == 0 || port > 65535) {
     std::fprintf(stderr,
                  "operb_cli: --connect expects HOST:PORT, got '%s'\n",
                  options.connect_spec.c_str());
@@ -1013,19 +629,14 @@ int RunConnect(const CliOptions& options) {
   const std::string host = options.connect_spec.substr(0, colon);
   Result<server::Client> client =
       server::Client::Connect(host, static_cast<std::uint16_t>(port));
-  if (!client.ok()) {
-    std::fprintf(stderr, "operb_cli: %s\n",
-                 client.status().ToString().c_str());
-    return kExitIo;
-  }
+  if (!client.ok()) return Fail(client.status(), kExitIo);
   std::printf("connected: %s\n", options.connect_spec.c_str());
 
   if (!options.csv_path.empty() || !options.generate_spec.empty()) {
     std::string source_label;
-    int error_exit = kExitUsage;
     std::optional<std::vector<traj::ObjectUpdate>> updates =
-        LoadUpdates(options, &source_label, &error_exit);
-    if (!updates) return error_exit;
+        LoadUpdates(options, &source_label);
+    if (!updates) return LoadFailureExit(options);
     // Batched so the daemon's per-request flow control (BUSY + retry,
     // handled inside Client::Ingest) sees bounded requests.
     constexpr std::size_t kIngestBatch = 512;
@@ -1033,8 +644,7 @@ int RunConnect(const CliOptions& options) {
     for (std::size_t i = 0; i < all.size(); i += kIngestBatch) {
       const std::size_t n = std::min(kIngestBatch, all.size() - i);
       if (const Status s = client->Ingest(all.subspan(i, n)); !s.ok()) {
-        std::fprintf(stderr, "operb_cli: %s\n", s.ToString().c_str());
-        return kExitIo;
+        return Fail(s, kExitIo);
       }
     }
     std::printf("ingested:  %zu point(s) from %s\n", updates->size(),
@@ -1047,8 +657,7 @@ int RunConnect(const CliOptions& options) {
       ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
       for (const traj::ObjectId id : ids) {
         if (const Status s = client->FinishObject(id); !s.ok()) {
-          std::fprintf(stderr, "operb_cli: %s\n", s.ToString().c_str());
-          return kExitIo;
+          return Fail(s, kExitIo);
         }
       }
       std::printf("finished:  %zu object(s)\n", ids.size());
@@ -1057,19 +666,14 @@ int RunConnect(const CliOptions& options) {
 
   if (options.server_seal) {
     Result<std::uint64_t> sealed = client->Seal();
-    if (!sealed.ok()) {
-      std::fprintf(stderr, "operb_cli: %s\n",
-                   sealed.status().ToString().c_str());
-      return ServerStatusExit(sealed.status());
-    }
+    if (!sealed.ok()) return StatusExit(sealed.status());
     std::printf("sealed:    %llu segment(s) now in the daemon's store\n",
                 static_cast<unsigned long long>(*sealed));
   }
   if (!options.server_checkpoint_path.empty()) {
     if (const Status s = client->Checkpoint(options.server_checkpoint_path);
         !s.ok()) {
-      std::fprintf(stderr, "operb_cli: %s\n", s.ToString().c_str());
-      return ServerStatusExit(s);
+      return StatusExit(s);
     }
     std::printf("checkpoint: %s  (written server-side)\n",
                 options.server_checkpoint_path.c_str());
@@ -1078,8 +682,7 @@ int RunConnect(const CliOptions& options) {
     if (const Status s =
             client->MetricsSnapshot(options.server_metrics_path);
         !s.ok()) {
-      std::fprintf(stderr, "operb_cli: %s\n", s.ToString().c_str());
-      return ServerStatusExit(s);
+      return StatusExit(s);
     }
     std::printf("metrics:   %s  (written server-side)\n",
                 options.server_metrics_path.c_str());
@@ -1088,10 +691,7 @@ int RunConnect(const CliOptions& options) {
   if (options.query.has_at) {
     Result<geo::Point> p =
         client->PositionAt(options.query.object_id, options.query.at_time);
-    if (!p.ok()) {
-      std::fprintf(stderr, "operb_cli: %s\n", p.status().ToString().c_str());
-      return ServerStatusExit(p.status());
-    }
+    if (!p.ok()) return StatusExit(p.status());
     std::printf("position:  %.3f, %.3f at t=%g  (server merge of the "
                 "sealed store and the in-flight tail)\n",
                 p->x, p->y, options.query.at_time);
@@ -1103,37 +703,17 @@ int RunConnect(const CliOptions& options) {
             : client->QueryWindow(options.query.window, options.query.t_min,
                                   options.query.t_max,
                                   options.query.use_flat_scan);
-    if (!r.ok()) {
-      std::fprintf(stderr, "operb_cli: %s\n", r.status().ToString().c_str());
-      return ServerStatusExit(r.status());
-    }
+    if (!r.ok()) return StatusExit(r.status());
     std::printf("matched:   %zu segment(s)\n", r->size());
-    if (!options.output_path.empty()) {
-      // Byte-for-byte the offline RunQuery output path: id-tagged
-      // segment rows through traj::WriteTaggedSegmentsCsv.
-      std::vector<traj::TaggedSegment> tagged;
-      tagged.reserve(r->size());
-      for (const traj::TimedSegment& s : *r) {
-        tagged.push_back({s.object_id, s.segment});
-      }
-      if (const Status s = traj::WriteTaggedSegmentsCsv(
-              std::span<const traj::TaggedSegment>(tagged),
-              options.output_path);
-          !s.ok()) {
-        std::fprintf(stderr, "operb_cli: %s\n", s.ToString().c_str());
-        return kExitIo;
-      }
-      std::printf("wrote:     %s\n", options.output_path.c_str());
+    if (const int exit = WriteQueryAnswer(*r, options.output_path);
+        exit != kExitOk) {
+      return exit;
     }
   }
 
   if (options.server_stats) {
     Result<server::StatsBody> stats = client->Stats();
-    if (!stats.ok()) {
-      std::fprintf(stderr, "operb_cli: %s\n",
-                   stats.status().ToString().c_str());
-      return kExitIo;
-    }
+    if (!stats.ok()) return Fail(stats.status(), kExitIo);
     std::printf("stats:     %llu live object(s), %llu point(s) ingested, "
                 "%llu segment(s) emitted, %llu sealed, %llu busy "
                 "reject(s), %llu seal(s), %llu connection(s)\n",
@@ -1146,10 +726,7 @@ int RunConnect(const CliOptions& options) {
                 static_cast<unsigned long long>(stats->connections));
   }
   if (options.server_shutdown) {
-    if (const Status s = client->Shutdown(); !s.ok()) {
-      std::fprintf(stderr, "operb_cli: %s\n", s.ToString().c_str());
-      return kExitIo;
-    }
+    if (const Status s = client->Shutdown(); !s.ok()) return Fail(s, kExitIo);
     std::printf("shutdown:  requested\n");
   }
   return kExitOk;
@@ -1161,17 +738,7 @@ int RunConnect(const CliOptions& options) {
 int RunCompact(const CliOptions& options) {
   store::Compactor compactor(options.compact_path);
   Result<store::CompactionStats> run = compactor.Run();
-  if (!run.ok()) {
-    std::fprintf(stderr, "operb_cli: %s\n",
-                 run.status().ToString().c_str());
-    switch (run.status().code()) {
-      case StatusCode::kIOError:
-      case StatusCode::kCorruption:
-        return kExitIo;
-      default:
-        return kExitUsage;
-    }
-  }
+  if (!run.ok()) return StatusExit(run.status());
   const store::CompactionStats& stats = *run;
   std::printf("compacted: %s  (%llu of %llu shard(s), %llu generation(s) "
               "committed)\n",
@@ -1195,87 +762,15 @@ int RunCompact(const CliOptions& options) {
   return kExitOk;
 }
 
-/// The --group-by-id flow, composed on the Pipeline facade: interleaved
-/// updates -> StreamEngine -> id-tagged segments, with per-object bound
-/// verification.
-int RunGroupById(const CliOptions& options) {
-  std::string source_label;
-  int error_exit = kExitUsage;
-  std::optional<std::vector<traj::ObjectUpdate>> updates =
-      LoadUpdates(options, &source_label, &error_exit);
-  if (!updates) return error_exit;
-  if (updates->empty()) {
-    std::fprintf(stderr, "operb_cli: input stream has no updates\n");
-    return kExitUsage;
-  }
-  const std::size_t total_points = updates->size();
-
-  if (!options.save_input_path.empty()) {
-    if (const Status s = traj::WriteMultiObjectCsv(
-            std::span<const traj::ObjectUpdate>(*updates),
-            options.save_input_path);
-        !s.ok()) {
-      std::fprintf(stderr, "operb_cli: %s\n", s.ToString().c_str());
-      return kExitIo;
-    }
-  }
-
-  engine::StreamEngineOptions eopts;
-  eopts.num_threads = static_cast<std::size_t>(options.threads);
-  eopts.num_shards = static_cast<std::size_t>(
-      options.shards != 0 ? options.shards : 4 * options.threads);
-
-  api::Pipeline::Builder builder;
-  builder.FromUpdates(std::move(*updates))
-      .Simplify(options.spec)
-      .Engine(eopts);
-  if (options.clean) builder.Clean();
-  if (options.verify) builder.Verify(options.verify_slack);
-  if (!options.store_out_path.empty()) {
-    store::StoreWriterOptions store_options;
-    store_options.num_shards = static_cast<std::size_t>(options.store_shards);
-    builder.WriteStore(options.store_out_path, store_options);
-  }
-  if (!options.checkpoint_out_path.empty()) {
-    builder.Checkpoint(options.checkpoint_out_path,
-                       static_cast<std::size_t>(options.checkpoint_every));
-  }
-  if (!options.metrics_out_path.empty()) {
-    builder.MetricsSnapshots(options.metrics_out_path,
-                             static_cast<std::size_t>(options.metrics_every));
-  }
-  if (!options.resume_path.empty()) builder.ResumeFrom(options.resume_path);
-  Result<api::Pipeline> pipeline = builder.Build();
-  if (!pipeline.ok()) {
-    std::fprintf(stderr, "operb_cli: %s\n",
-                 pipeline.status().ToString().c_str());
-    return kExitUsage;
-  }
-  Result<api::PipelineReport> run = pipeline->Run();
-  if (!run.ok()) {
-    // Data errors (non-monotone per-object timestamps, corrupt rows,
-    // unwritable store, a damaged or mismatched checkpoint) surface
-    // here; configuration was already validated.
-    std::fprintf(stderr, "operb_cli: %s%s\n",
-                 run.status().ToString().c_str(),
-                 options.clean ? "" : " (try --clean)");
-    return run.status().code() == StatusCode::kIOError ? kExitIo
-                                                       : kExitUsage;
-  }
-  const api::PipelineReport& report = *run;
+/// Prints the --group-by-id report: per-engine counters, then the
+/// id-tagged output and the per-object bound verdict.
+int ReportGroup(const CliOptions& options, const api::PipelineReport& report,
+                const engine::StreamEngineOptions& eopts,
+                std::size_t total_points, const std::string& source_label) {
   const engine::StreamEngineStats& stats = report.engine_stats;
-
-  const double elapsed_ms = report.simplify_seconds * 1e3;
-  const double ns_per_point = elapsed_ms * 1e6 / total_points;
   std::printf("input:     %zu updates from %zu objects  (%s)\n", total_points,
               report.objects, source_label.c_str());
-  if (options.clean) {
-    std::printf("cleaned:   kept %zu of %zu (%zu duplicate, %zu "
-                "out-of-order)\n",
-                report.points_kept, report.points_in,
-                report.cleaner.duplicates_dropped,
-                report.cleaner.out_of_order_dropped);
-  }
+  if (options.clean) PrintCleanedLine(report);
   std::printf("engine:    %s, %zu shards, %zu threads\n",
               report.spec.c_str(), eopts.num_shards, eopts.num_threads);
   std::printf("output:    %llu segments, peak %llu live objects, "
@@ -1284,9 +779,7 @@ int RunGroupById(const CliOptions& options) {
               static_cast<unsigned long long>(stats.peak_live_objects),
               static_cast<unsigned long long>(stats.states_allocated),
               static_cast<unsigned long long>(stats.ring_full_stalls));
-  std::printf("time:      %.3f ms  (%.0f ns/point, %.2f M points/s)\n",
-              elapsed_ms, ns_per_point,
-              ns_per_point > 0.0 ? 1e3 / ns_per_point : 0.0);
+  PrintTimeLine(report, total_points);
   PrintStoreLine(report, options.store_shards);
   if (report.resumed) {
     std::printf("resumed:   %s\n", options.resume_path.c_str());
@@ -1297,15 +790,9 @@ int RunGroupById(const CliOptions& options) {
   }
   PrintMetricsLine(report);
 
-  if (!options.output_path.empty()) {
-    if (const Status s = traj::WriteTaggedSegmentsCsv(
-            std::span<const traj::TaggedSegment>(report.segments_out),
-            options.output_path);
-        !s.ok()) {
-      std::fprintf(stderr, "operb_cli: %s\n", s.ToString().c_str());
-      return kExitIo;
-    }
-    std::printf("wrote:     %s\n", options.output_path.c_str());
+  if (const int exit = WriteTaggedCsv(report.segments_out, options.output_path);
+      exit != kExitOk) {
+    return exit;
   }
 
   if (options.verify) {
@@ -1322,120 +809,22 @@ int RunGroupById(const CliOptions& options) {
   return kExitOk;
 }
 
-/// Loads the input trajectory, or returns nullopt after printing the error.
-std::optional<traj::Trajectory> LoadInput(const CliOptions& options,
-                                          std::string* source_label) {
-  if (!options.csv_path.empty()) {
-    *source_label = "csv " + options.csv_path;
-    if (options.clean) {
-      // Raw parse: the validating reader would reject the duplicate /
-      // out-of-order rows the --clean stage exists to repair.
-      Result<std::vector<geo::Point>> r =
-          traj::ReadCsvPoints(options.csv_path);
-      if (!r.ok()) {
-        std::fprintf(stderr, "operb_cli: %s\n",
-                     r.status().ToString().c_str());
-        return std::nullopt;
-      }
-      traj::Trajectory raw;
-      raw.reserve(r.value().size());
-      for (const geo::Point& p : r.value()) raw.AppendUnchecked(p);
-      return raw;
-    }
-    Result<traj::Trajectory> r = traj::ReadCsv(options.csv_path);
-    if (!r.ok()) {
-      std::fprintf(stderr, "operb_cli: %s\n", r.status().ToString().c_str());
-      return std::nullopt;
-    }
-    return std::move(r).value();
-  }
-  if (!options.plt_path.empty()) {
-    *source_label = "plt " + options.plt_path;
-    Result<traj::Trajectory> r = traj::ReadGeoLifePlt(options.plt_path);
-    if (!r.ok()) {
-      std::fprintf(stderr, "operb_cli: %s\n", r.status().ToString().c_str());
-      return std::nullopt;
-    }
-    return std::move(r).value();
-  }
-  *source_label = "generated " + options.generate_spec;
-  return GenerateFromSpec(options.generate_spec);
-}
-
-/// The single-trajectory flow on the Pipeline facade.
-int RunSingle(const CliOptions& options) {
-  std::string source_label;
-  std::optional<traj::Trajectory> input = LoadInput(options, &source_label);
-  if (!input) {
-    return options.generate_spec.empty() ? kExitIo : kExitUsage;
-  }
-  if (input->size() < 2) {
-    std::fprintf(stderr,
-                 "operb_cli: input has %zu point(s); need at least 2\n",
-                 input->size());
-    return kExitUsage;
-  }
-
-  if (!options.save_input_path.empty()) {
-    if (const Status s = traj::WriteCsv(*input, options.save_input_path);
-        !s.ok()) {
-      std::fprintf(stderr, "operb_cli: %s\n", s.ToString().c_str());
-      return kExitIo;
-    }
-  }
-
-  // Keep a copy for the metrics below; the pipeline consumes its input.
-  const traj::Trajectory original = *input;
-  api::Pipeline::Builder builder;
-  builder.FromTrajectory(std::move(*input)).Simplify(options.spec);
-  if (options.clean) builder.Clean();
-  if (options.verify) builder.Verify(options.verify_slack);
-  if (!options.store_out_path.empty()) {
-    store::StoreWriterOptions store_options;
-    store_options.num_shards = static_cast<std::size_t>(options.store_shards);
-    builder.WriteStore(options.store_out_path, store_options);
-  }
-  if (!options.metrics_out_path.empty()) {
-    builder.MetricsSnapshots(options.metrics_out_path);
-  }
-  Result<api::Pipeline> pipeline = builder.Build();
-  if (!pipeline.ok()) {
-    std::fprintf(stderr, "operb_cli: %s\n",
-                 pipeline.status().ToString().c_str());
-    return kExitUsage;
-  }
-  Result<api::PipelineReport> run = pipeline->Run();
-  if (!run.ok()) {
-    // Data errors (e.g. non-monotone timestamps, unwritable store) —
-    // configuration was already validated.
-    std::fprintf(stderr, "operb_cli: %s%s\n",
-                 run.status().ToString().c_str(),
-                 options.clean ? "" : " (try --clean)");
-    return run.status().code() == StatusCode::kIOError ? kExitIo
-                                                       : kExitUsage;
-  }
-  const api::PipelineReport& report = *run;
-
+/// Prints the single-trajectory report: ratio, timing and error against
+/// the original, then the representation CSV and the bound verdict.
+int ReportSingle(const CliOptions& options, const api::PipelineReport& report,
+                 const traj::Trajectory& original,
+                 const std::string& source_label) {
   traj::PiecewiseRepresentation representation;
   for (const traj::TaggedSegment& s : report.segments_out) {
     representation.Append(s.segment);
   }
 
-  const double elapsed_ms = report.simplify_seconds * 1e3;
   const double ratio = eval::CompressionRatio(original, representation);
   const eval::ErrorStats error = eval::MeasureError(original, representation);
-  const double ns_per_point = elapsed_ms * 1e6 / original.size();
-
   std::printf("input:     %zu points, %.2f km, %.0f s  (%s)\n",
               original.size(), original.PathLength() / 1000.0,
               original.Duration(), source_label.c_str());
-  if (options.clean) {
-    std::printf("cleaned:   kept %zu of %zu (%zu duplicate, %zu "
-                "out-of-order)\n",
-                report.points_kept, report.points_in,
-                report.cleaner.duplicates_dropped,
-                report.cleaner.out_of_order_dropped);
-  }
+  if (options.clean) PrintCleanedLine(report);
   std::printf("algorithm: %s%s\n", report.spec.c_str(),
               options.spec.fidelity == baselines::OperbFidelity::kPaperFaithful
                   ? " (paper-faithful heuristics, no strict guard)"
@@ -1444,9 +833,7 @@ int RunSingle(const CliOptions& options) {
               representation.size(), representation.StoredPointCount());
   std::printf("ratio:     %.2f%% of input kept (%.1fx compression)\n",
               100.0 * ratio, ratio > 0.0 ? 1.0 / ratio : 0.0);
-  std::printf("time:      %.3f ms  (%.0f ns/point, %.2f M points/s)\n",
-              elapsed_ms, ns_per_point,
-              ns_per_point > 0.0 ? 1e3 / ns_per_point : 0.0);
+  PrintTimeLine(report, original.size());
   std::printf("error:     avg %.2f m, max %.2f m\n", error.average, error.max);
   PrintStoreLine(report, options.store_shards);
   PrintMetricsLine(report);
@@ -1455,8 +842,7 @@ int RunSingle(const CliOptions& options) {
     if (const Status s =
             traj::WriteRepresentationCsv(representation, options.output_path);
         !s.ok()) {
-      std::fprintf(stderr, "operb_cli: %s\n", s.ToString().c_str());
-      return kExitIo;
+      return Fail(s, kExitIo);
     }
     std::printf("wrote:     %s\n", options.output_path.c_str());
   }
@@ -1473,38 +859,128 @@ int RunSingle(const CliOptions& options) {
   return kExitOk;
 }
 
+/// The single-trajectory and --group-by-id flows on one Pipeline: they
+/// differ only in the source, the engine stage and the report printed.
+int RunPipeline(const CliOptions& options) {
+  const bool group = options.mode == kGroup;
+  api::Pipeline::Builder builder;
+  std::string source_label;
+  engine::StreamEngineOptions eopts;
+  std::size_t total_points = 0;
+  traj::Trajectory original;  // single mode: the report measures against it
+  Status saved;               // --save-input, before the pipeline takes it
+  if (group) {
+    std::optional<std::vector<traj::ObjectUpdate>> updates =
+        LoadUpdates(options, &source_label);
+    if (!updates) return LoadFailureExit(options);
+    if (updates->empty()) {
+      std::fprintf(stderr, "operb_cli: input stream has no updates\n");
+      return kExitUsage;
+    }
+    total_points = updates->size();
+    if (!options.save_input_path.empty()) {
+      saved = traj::WriteMultiObjectCsv(*updates, options.save_input_path);
+    }
+    eopts.num_threads = static_cast<std::size_t>(options.threads);
+    eopts.num_shards = static_cast<std::size_t>(
+        options.shards != 0 ? options.shards : 4 * options.threads);
+    builder.FromUpdates(std::move(*updates)).Engine(eopts);
+  } else {
+    std::optional<traj::Trajectory> input = LoadInput(options, &source_label);
+    if (!input) return LoadFailureExit(options);
+    if (input->size() < 2) {
+      std::fprintf(stderr,
+                   "operb_cli: input has %zu point(s); need at least 2\n",
+                   input->size());
+      return kExitUsage;
+    }
+    if (!options.save_input_path.empty()) {
+      saved = traj::WriteCsv(*input, options.save_input_path);
+    }
+    original = *input;  // the pipeline consumes its input
+    builder.FromTrajectory(std::move(*input));
+  }
+  if (!saved.ok()) return Fail(saved, kExitIo);
+
+  builder.Simplify(options.spec);
+  if (options.clean) builder.Clean();
+  if (options.verify) builder.Verify();
+  if (!options.store_out_path.empty()) {
+    store::StoreWriterOptions store_options;
+    store_options.num_shards = static_cast<std::size_t>(options.store_shards);
+    builder.WriteStore(options.store_out_path, store_options);
+  }
+  if (!options.checkpoint_out_path.empty()) {
+    builder.Checkpoint(options.checkpoint_out_path,
+                       static_cast<std::size_t>(options.checkpoint_every));
+  }
+  if (!options.metrics_out_path.empty()) {
+    builder.MetricsSnapshots(options.metrics_out_path,
+                             static_cast<std::size_t>(options.metrics_every));
+  }
+  if (!options.resume_path.empty()) builder.ResumeFrom(options.resume_path);
+  Result<api::Pipeline> pipeline = builder.Build();
+  if (!pipeline.ok()) return Fail(pipeline.status(), kExitUsage);
+  Result<api::PipelineReport> run = pipeline->Run();
+  if (!run.ok()) {
+    // Data errors (non-monotone timestamps, corrupt rows, unwritable
+    // store, a damaged or mismatched checkpoint); the flags were valid.
+    std::fprintf(stderr, "operb_cli: %s%s\n",
+                 run.status().ToString().c_str(),
+                 options.clean ? "" : " (try --clean)");
+    return run.status().code() == StatusCode::kIOError ? kExitIo
+                                                       : kExitUsage;
+  }
+  return group ? ReportGroup(options, *run, eopts, total_points, source_label)
+               : ReportSingle(options, *run, original, source_label);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   CliOptions options;
-  bool wants_help = false;
-  if (!ParseArgs(argc, argv, &options, &wants_help)) {
+  tools::FlagTable flags = CliFlags(&options);
+  const tools::FlagTable::Outcome outcome = flags.Parse(argc, argv);
+  if (outcome == tools::FlagTable::Outcome::kHelp) {
+    flags.PrintHelp(stdout,
+                    "operb_cli — one-pass error-bounded trajectory "
+                    "simplification (OPERB, PVLDB 2017)\n"
+                    "\n"
+                    "Modes: single-trajectory (default), --group-by-id, "
+                    "--query, --compact or\n--connect, at most one per run. "
+                    "A flag ending in [modes] is valid only in\nthose "
+                    "modes.");
+    return kExitOk;
+  }
+  if (outcome == tools::FlagTable::Outcome::kUsageError ||
+      !CheckFlagRules(flags, &options)) {
     std::fprintf(stderr, "Run 'operb_cli --help' for usage.\n");
     return kExitUsage;
-  }
-  if (wants_help) {
-    PrintUsage(stdout);
-    return kExitOk;
   }
   if (!options.metrics_out_path.empty()) {
     // Pre-flight: snapshots are written late in the run (and periodic
     // failures are deliberately non-fatal), so an unusable path must
-    // fail up front as a usage error, not as a silent no-op run.
-    std::FILE* probe = std::fopen(options.metrics_out_path.c_str(), "ab");
+    // fail up front as a usage error, not as a silent no-op run. A file
+    // the probe creates is removed again, so a run that writes no
+    // snapshot leaves nothing behind for a consumer to misparse.
+    const char* path = options.metrics_out_path.c_str();
+    std::error_code ec;
+    const bool existed = std::filesystem::exists(path, ec);
+    std::FILE* probe = std::fopen(path, "ab");
     if (probe == nullptr) {
       std::fprintf(stderr,
                    "operb_cli: --metrics-out path '%s' is not writable\n",
-                   options.metrics_out_path.c_str());
+                   path);
       return kExitUsage;
     }
     std::fclose(probe);
+    if (!existed) std::remove(path);
   }
-  if (options.connect_mode) {
+  if (options.mode == kConnect) {
     return WriteFinalMetricsSnapshot(options, RunConnect(options));
   }
-  if (options.compact_mode) return RunCompact(options);
-  if (options.query_mode) {
+  if (options.mode == kQuery) {
     return WriteFinalMetricsSnapshot(options, RunQuery(options));
   }
-  return options.group_by_id ? RunGroupById(options) : RunSingle(options);
+  return options.mode == kCompact ? RunCompact(options) : RunPipeline(options);
 }

@@ -17,17 +17,18 @@
 // Exit codes: 0 clean shutdown, 2 usage error, 3 startup or shutdown
 // I/O failure.
 
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
+#include <vector>
 
-#include "api/spec.h"
+#include "flag_table.h"
 #include "server/server.h"
 
 namespace {
@@ -41,55 +42,6 @@ constexpr int kExitIo = 3;
 volatile std::sig_atomic_t g_signal = 0;
 
 void OnSignal(int sig) { g_signal = sig; }
-
-void PrintUsage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "operb_server — concurrent ingest+query trajectory daemon "
-      "(loopback TCP)\n"
-      "\n"
-      "Required:\n"
-      "  --store PATH          store directory the daemon owns (created "
-      "fresh)\n"
-      "\n"
-      "Optional:\n"
-      "  --port N              TCP port on 127.0.0.1 (default 0 = "
-      "ephemeral)\n"
-      "  --port-file PATH      write the bound port to PATH (atomic "
-      "temp+rename;\n"
-      "                        how scripts find an ephemeral port)\n"
-      "  --spec SPEC           simplifier spec, ALGORITHM[:key=value,...] "
-      "(default\n"
-      "                        OPERB:zeta=40; the spec's zeta is the "
-      "store's zeta)\n"
-      "  --threads N           engine worker threads (default 2)\n"
-      "  --shards N            engine state-table shards (default 4 * "
-      "threads)\n"
-      "  --store-shards N      store shard count (default 4)\n"
-      "  --ring-capacity N     per-shard ring capacity (default 8192); "
-      "the BUSY\n"
-      "                        flow-control threshold is 75%% of it\n"
-      "  --seal-interval SEC   background seal period (default 0.5; 0 "
-      "seals only\n"
-      "                        on demand and at shutdown)\n"
-      "  --checkpoint-out PATH write a final engine checkpoint at "
-      "shutdown\n"
-      "  --metrics-out PATH    write a final metrics snapshot at "
-      "shutdown\n"
-      "  --help                this text\n");
-}
-
-bool ParseU64Flag(const char* value, std::uint64_t max, std::uint64_t* out) {
-  if (value == nullptr || *value == '\0' ||
-      std::string(value).find_first_not_of("0123456789") !=
-          std::string::npos) {
-    return false;
-  }
-  char* end = nullptr;
-  errno = 0;
-  *out = std::strtoull(value, &end, 10);
-  return errno == 0 && end != nullptr && *end == '\0' && *out <= max;
-}
 
 /// Atomic write of the bound port — readers either see nothing or a
 /// complete port line, never a torn file (the smoke script polls it).
@@ -115,100 +67,62 @@ int main(int argc, char** argv) {
   server::ServerOptions options;
   options.engine.num_threads = 2;
   options.engine.num_shards = 0;  // 0 = auto (4 * threads), resolved below
-  std::uint64_t port = 0;
+  std::uint16_t port = 0;
   std::string port_file;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "operb_server: %s requires a value\n",
-                     arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") {
-      PrintUsage(stdout);
-      return kExitOk;
-    } else if (arg == "--store") {
-      const char* v = value();
-      if (v == nullptr) return kExitUsage;
-      options.store_path = v;
-    } else if (arg == "--port") {
-      const char* v = value();
-      if (v == nullptr || !ParseU64Flag(v, 65535, &port)) {
-        std::fprintf(stderr, "operb_server: --port must be 0..65535\n");
-        return kExitUsage;
-      }
-    } else if (arg == "--port-file") {
-      const char* v = value();
-      if (v == nullptr) return kExitUsage;
-      port_file = v;
-    } else if (arg == "--spec") {
-      const char* v = value();
-      if (v == nullptr) return kExitUsage;
-      Result<api::SimplifierSpec> spec = api::SimplifierSpec::Parse(v);
-      if (!spec.ok()) {
-        std::fprintf(stderr, "operb_server: %s\n",
-                     spec.status().ToString().c_str());
-        return kExitUsage;
-      }
-      options.engine.spec = std::move(spec).value();
-    } else if (arg == "--threads" || arg == "--shards" ||
-               arg == "--store-shards" || arg == "--ring-capacity") {
-      const char* v = value();
-      std::uint64_t n = 0;
-      const std::uint64_t max = arg == "--threads"        ? 1024
-                                : arg == "--shards"       ? 65536
-                                : arg == "--store-shards" ? 65536
-                                                          : (1u << 24);
-      const bool zero_ok = arg == "--shards";  // 0 = auto
-      if (v == nullptr || !ParseU64Flag(v, max, &n) || (!zero_ok && n == 0)) {
-        std::fprintf(stderr,
-                     "operb_server: %s must be an integer in %c..%llu\n",
-                     arg.c_str(), zero_ok ? '0' : '1',
-                     static_cast<unsigned long long>(max));
-        return kExitUsage;
-      }
-      if (arg == "--threads") {
-        options.engine.num_threads = n;
-      } else if (arg == "--shards") {
-        options.engine.num_shards = n;
-      } else if (arg == "--store-shards") {
-        options.store_shards = n;
-      } else {
-        options.engine.ring_capacity = n;
-      }
-    } else if (arg == "--seal-interval") {
-      const char* v = value();
-      char* end = nullptr;
-      options.seal_interval_seconds =
-          v == nullptr ? -1.0 : std::strtod(v, &end);
-      if (v == nullptr || end == v || *end != '\0' ||
-          options.seal_interval_seconds < 0.0) {
-        std::fprintf(stderr,
-                     "operb_server: --seal-interval must be a "
-                     "non-negative number of seconds\n");
-        return kExitUsage;
-      }
-    } else if (arg == "--checkpoint-out") {
-      const char* v = value();
-      if (v == nullptr) return kExitUsage;
-      options.final_checkpoint_path = v;
-    } else if (arg == "--metrics-out") {
-      const char* v = value();
-      if (v == nullptr) return kExitUsage;
-      options.final_metrics_path = v;
-    } else {
-      std::fprintf(stderr, "operb_server: unknown argument '%s'\n",
-                   arg.c_str());
-      std::fprintf(stderr, "Run 'operb_server --help' for usage.\n");
-      return kExitUsage;
-    }
+  using namespace tools;  // NOLINT: the row vocabulary
+  constexpr unsigned kAll = kAllModes;
+  constexpr std::string_view kReq = "Required:";
+  constexpr std::string_view kOpt = "Optional:";
+  std::vector<Flag> rows = {
+      {kReq, "--store", "PATH", kAll, StringValue(&options.store_path),
+       "store directory the daemon owns (created fresh)"},
+      {kOpt, "--port", "N", kAll, UnsignedValue(&port, 0, 65535),
+       "TCP port on 127.0.0.1 (default 0 = ephemeral)"},
+      {kOpt, "--port-file", "PATH", kAll, StringValue(&port_file),
+       "write the bound port to PATH (atomic temp+rename; how scripts find "
+       "an ephemeral port)"},
+      {kOpt, "--spec", "SPEC", kAll, SpecValue(&options.engine.spec),
+       "simplifier spec, ALGORITHM[:key=value,...] (default OPERB:zeta=40; "
+       "the spec's zeta is the store's zeta)"},
+      {kOpt, "--threads", "N", kAll,
+       UnsignedValue(&options.engine.num_threads, 1, 1024),
+       "engine worker threads (default 2)"},
+      {kOpt, "--shards", "N", kAll,
+       UnsignedValue(&options.engine.num_shards, 0, 65536),
+       "engine state-table shards (default 0 = 4 * threads)"},
+      {kOpt, "--store-shards", "N", kAll,
+       UnsignedValue(&options.store_shards, 1, 65536),
+       "store shard count (default 4)"},
+      {kOpt, "--ring-capacity", "N", kAll,
+       UnsignedValue(&options.engine.ring_capacity, 1, 1u << 24),
+       "per-shard ring capacity (default 8192); the BUSY flow-control "
+       "threshold is 75% of it"},
+      {kOpt, "--seal-interval", "SEC", kAll,
+       FiniteValue(&options.seal_interval_seconds, 0.0),
+       "background seal period (default 0.5; 0 seals only on demand and at "
+       "shutdown)"},
+      {kOpt, "--checkpoint-out", "PATH", kAll,
+       StringValue(&options.final_checkpoint_path),
+       "write a final engine checkpoint at shutdown"},
+      {kOpt, "--metrics-out", "PATH", kAll,
+       StringValue(&options.final_metrics_path),
+       "write a final metrics snapshot at shutdown"},
+  };
+  FlagTable flags("operb_server", {"operb_server"}, std::move(rows));
+  const FlagTable::Outcome outcome = flags.Parse(argc, argv);
+  if (outcome == FlagTable::Outcome::kHelp) {
+    flags.PrintHelp(stdout,
+                    "operb_server — concurrent ingest+query trajectory "
+                    "daemon (loopback TCP)");
+    return kExitOk;
+  }
+  if (outcome == FlagTable::Outcome::kUsageError) {
+    std::fprintf(stderr, "Run 'operb_server --help' for usage.\n");
+    return kExitUsage;
   }
   if (options.store_path.empty()) {
-    std::fprintf(stderr, "operb_server: --store PATH is required\n");
+    flags.Reject("--store PATH is required");
     return kExitUsage;
   }
   if (options.engine.num_shards == 0) {
@@ -216,8 +130,7 @@ int main(int argc, char** argv) {
   }
 
   Result<std::unique_ptr<server::TrajectoryServer>> started =
-      server::TrajectoryServer::Start(options,
-                                      static_cast<std::uint16_t>(port));
+      server::TrajectoryServer::Start(options, port);
   if (!started.ok()) {
     std::fprintf(stderr, "operb_server: %s\n",
                  started.status().ToString().c_str());
