@@ -62,6 +62,7 @@ set(cases
   "resume_with_store_out|--group-by-id --resume x.ckpt --store-out x.store"
   "input_with_generate|--input x.csv --generate Taxi:100"
   "connect_finish_objects_without_input|--connect 127.0.0.1:1 --finish-objects"
+  "connect_with_input_and_generate|--connect 127.0.0.1:1 --input x.csv --generate Taxi:10"
   "connect_port_zero|--connect 127.0.0.1:0"
   "trailing_value_flag|--generate Taxi:100 --output"
 )

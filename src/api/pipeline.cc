@@ -343,223 +343,82 @@ Result<PipelineReport> Pipeline::Run() {
         "Pipeline::Run() may only be called once (the input was consumed)");
   }
   ran_ = true;
-  return config_.use_engine_ ? RunEngine() : RunSingle();
-}
-
-Result<PipelineReport> Pipeline::RunSingle() {
   Builder& cfg = config_;
-  // With a Clean() stage, CSV sources are parsed as *raw* points — the
-  // validating parser would reject the very rows the cleaner exists to
-  // repair. (PLT parsing derives timestamps while projecting and stays
-  // validating; a corrupt .plt is a Corruption, not a cleanable stream.)
-  std::vector<geo::Point> raw;
-  traj::Trajectory input;
-  {
-    obs::ScopedTimer ingest_timer(
-        obs::kMetricsEnabled ? GetPipelineMetrics().ingest_ns : nullptr);
-    switch (cfg.source_) {
-      case Builder::Source::kTrajectory:
-        input = std::move(cfg.trajectory_);
-        break;
-      case Builder::Source::kCsvFile: {
-        if (cfg.clean_) {
-          OPERB_ASSIGN_OR_RETURN(raw,
-                                 traj::ReadCsvPoints(cfg.path_or_content_));
-        } else {
-          OPERB_ASSIGN_OR_RETURN(input, traj::ReadCsv(cfg.path_or_content_));
-        }
-        break;
-      }
-      case Builder::Source::kCsvContent: {
-        if (cfg.clean_) {
-          OPERB_ASSIGN_OR_RETURN(raw,
-                                 traj::ParseCsvPoints(cfg.path_or_content_));
-        } else {
-          OPERB_ASSIGN_OR_RETURN(input,
-                                 traj::ParseCsv(cfg.path_or_content_));
-        }
-        break;
-      }
-      case Builder::Source::kPltFile: {
-        OPERB_ASSIGN_OR_RETURN(input,
-                               traj::ReadGeoLifePlt(cfg.path_or_content_));
-        break;
-      }
-      default:
-        return Status::Internal(
-            "single-path Run with a multi-object source");
-    }
-  }
-
   PipelineReport report;
   report.spec = cfg.spec_.ToString();
-  report.objects = 1;
+  report.used_engine = cfg.use_engine_;
 
-  traj::Trajectory cleaned;
-  if (cfg.clean_) {
-    obs::ScopedTimer clean_timer(
-        obs::kMetricsEnabled ? GetPipelineMetrics().clean_ns : nullptr);
-    if (raw.empty()) raw = input.points();  // trajectory / PLT sources
-    report.points_in = raw.size();
-    traj::StreamCleaner cleaner(cfg.cleaner_options_);
-    cleaned = cleaner.CleanAll(raw);
-    report.cleaner = cleaner.stats();
-  } else {
-    report.points_in = input.size();
-    if (const Status s = input.Validate(); !s.ok()) {
-      return Status::InvalidArgument(
-          s.message() +
-          " (timestamps must be strictly increasing; add a Clean() stage "
-          "to repair raw sensor streams)");
-    }
-    cleaned = std::move(input);
-  }
-  report.points_kept = cleaned.size();
-
-  OPERB_ASSIGN_OR_RETURN(
-      const std::unique_ptr<baselines::StreamingSimplifier> simplifier,
-      AlgorithmRegistry::Global().MakeStreaming(cfg.spec_));
-
-  // Store stage: segments stream into the writer the moment they are
-  // determined, annotated with the timestamps of the covered points.
-  std::unique_ptr<store::StoreWriter> store_writer;
-  if (cfg.write_store_) {
-    OPERB_ASSIGN_OR_RETURN(
-        store_writer,
-        store::StoreWriter::Create(cfg.store_path_, cfg.store_options_));
-  }
-
-  traj::PiecewiseRepresentation rep;  // kept only for the verify stage
-  const bool keep_rep = cfg.verify_;
-  simplifier->SetSink([&](const traj::RepresentedSegment& s) {
-    ++report.segments;
-    if (keep_rep) rep.Append(s);
-    if (store_writer != nullptr) {
-      store_writer->Append({traj::ObjectId{0}, s,
-                            cleaned[s.first_index].t,
-                            cleaned[s.last_index].t});
-    }
-    if (cfg.sink_) {
-      cfg.sink_(traj::ObjectId{0}, s);
-    } else {
-      report.segments_out.push_back({traj::ObjectId{0}, s});
-    }
-  });
-
-  // The one-pass algorithms emit with <2 points pushed nothing at all;
-  // skipping the push entirely mirrors Simplifier::Simplify's contract
-  // for the buffering baselines too.
-  Stopwatch watch;
-  {
-    obs::TraceSpan span("pipeline.simplify");
-    obs::ScopedTimer simplify_timer(
-        obs::kMetricsEnabled ? GetPipelineMetrics().simplify_ns : nullptr);
-    if (cleaned.size() >= 2) {
-      simplifier->Push(std::span<const geo::Point>(cleaned.points()));
-      simplifier->Finish();
-    }
-  }
-  report.simplify_seconds = watch.ElapsedSeconds();
-
-  if (store_writer != nullptr) {
-    obs::ScopedTimer close_timer(
-        obs::kMetricsEnabled ? GetPipelineMetrics().store_close_ns
-                             : nullptr);
-    OPERB_RETURN_IF_ERROR(store_writer->Close());
-    report.store_ran = true;
-    report.store_path = cfg.store_path_;
-    report.store_stats = store_writer->stats();
-  }
-
-  if (cfg.verify_) {
-    obs::ScopedTimer verify_timer(
-        obs::kMetricsEnabled ? GetPipelineMetrics().verify_ns : nullptr);
-    report.verify_ran = true;
-    const eval::VerificationResult verdict = eval::VerifyErrorBound(
-        cleaned, rep, cfg.spec_.zeta, cfg.verify_slack_);
-    report.verified = verdict.bounded;
-    report.bound_violations = verdict.bounded ? 0 : 1;
-    report.worst_distance = verdict.worst_distance;
-  }
-
-  if (cfg.delta_) {
-    obs::ScopedTimer delta_timer(
-        obs::kMetricsEnabled ? GetPipelineMetrics().delta_ns : nullptr);
-    report.delta_bytes =
-        codec::DeltaEncode(cleaned, cfg.delta_options_).size();
-    report.delta_ratio =
-        cleaned.empty() ? 0.0
-                        : static_cast<double>(report.delta_bytes) /
-                              (kRawBytesPerPoint *
-                               static_cast<double>(cleaned.size()));
-  }
-
-  FoldRunCounters(report);
-  if (cfg.metrics_) {
-    // Fold first so the final snapshot already carries this run.
-    report.metrics_ran = true;
-    report.metrics_path = cfg.metrics_path_;
-    WriteMetricsSnapshot(cfg.metrics_path_, cfg.metrics_env_, &report);
-  }
-  return report;
-}
-
-Result<PipelineReport> Pipeline::RunEngine() {
-  Builder& cfg = config_;
+  // Ingest. A single-trajectory source is one object (id 0) whose samples
+  // land in `points`; multi-object sources fill `updates`. With a Clean()
+  // stage, CSV is parsed as *raw* points — the validating parser would
+  // reject the very rows the cleaner exists to repair. (PLT parsing
+  // derives timestamps while projecting and stays validating; a corrupt
+  // .plt is a Corruption, not a cleanable stream.)
+  const bool single = cfg.source_ != Builder::Source::kUpdates &&
+                      cfg.source_ != Builder::Source::kMultiCsvFile;
+  std::vector<geo::Point> points;
   std::vector<traj::ObjectUpdate> updates;
   {
     obs::ScopedTimer ingest_timer(
         obs::kMetricsEnabled ? GetPipelineMetrics().ingest_ns : nullptr);
+    const auto points_of = [](Result<traj::Trajectory> parsed)
+        -> Result<std::vector<geo::Point>> {
+      if (!parsed.ok()) return parsed.status();
+      return std::move(parsed->mutable_points());
+    };
+    const std::string& path = cfg.path_or_content_;
     switch (cfg.source_) {
+      case Builder::Source::kTrajectory:
+        points = std::move(cfg.trajectory_.mutable_points());
+        break;
+      case Builder::Source::kCsvFile: {
+        OPERB_ASSIGN_OR_RETURN(points, cfg.clean_
+                                           ? traj::ReadCsvPoints(path)
+                                           : points_of(traj::ReadCsv(path)));
+        break;
+      }
+      case Builder::Source::kCsvContent: {
+        OPERB_ASSIGN_OR_RETURN(points,
+                               cfg.clean_ ? traj::ParseCsvPoints(path)
+                                          : points_of(traj::ParseCsv(path)));
+        break;
+      }
+      case Builder::Source::kPltFile: {
+        OPERB_ASSIGN_OR_RETURN(points,
+                               points_of(traj::ReadGeoLifePlt(path)));
+        break;
+      }
       case Builder::Source::kUpdates:
         updates = std::move(cfg.updates_);
         break;
       case Builder::Source::kMultiCsvFile: {
-        OPERB_ASSIGN_OR_RETURN(
-            updates, traj::ReadMultiObjectCsv(cfg.path_or_content_));
-        break;
-      }
-      case Builder::Source::kTrajectory: {
-        updates.reserve(cfg.trajectory_.size());
-        for (const geo::Point& p : cfg.trajectory_) updates.push_back({0, p});
-        break;
-      }
-      case Builder::Source::kCsvFile:
-      case Builder::Source::kCsvContent:
-      case Builder::Source::kPltFile: {
-        traj::Trajectory t;
-        if (cfg.source_ == Builder::Source::kCsvFile) {
-          OPERB_ASSIGN_OR_RETURN(t, traj::ReadCsv(cfg.path_or_content_));
-        } else if (cfg.source_ == Builder::Source::kCsvContent) {
-          OPERB_ASSIGN_OR_RETURN(t, traj::ParseCsv(cfg.path_or_content_));
-        } else {
-          OPERB_ASSIGN_OR_RETURN(t,
-                                 traj::ReadGeoLifePlt(cfg.path_or_content_));
-        }
-        updates.reserve(t.size());
-        for (const geo::Point& p : t) updates.push_back({0, p});
+        OPERB_ASSIGN_OR_RETURN(updates, traj::ReadMultiObjectCsv(path));
         break;
       }
       case Builder::Source::kNone:
-        return Status::Internal("engine-path Run without a source");
+        return Status::Internal("pipeline Run without a source");
     }
   }
+  report.points_in = single ? points.size() : updates.size();
 
-  PipelineReport report;
-  report.spec = cfg.spec_.ToString();
-  report.used_engine = true;
-  report.points_in = updates.size();
-
+  // Clean: a per-stream repair, one cleaner per object id.
   if (cfg.clean_) {
     obs::ScopedTimer clean_timer(
         obs::kMetricsEnabled ? GetPipelineMetrics().clean_ns : nullptr);
-    // Cleaning is a per-stream repair: one cleaner per object id.
     std::unordered_map<traj::ObjectId, traj::StreamCleaner> cleaners;
-    std::vector<traj::ObjectUpdate> kept;
-    kept.reserve(updates.size());
-    for (const traj::ObjectUpdate& u : updates) {
-      auto it = cleaners.try_emplace(u.object_id, cfg.cleaner_options_).first;
-      if (it->second.Push(u.point).has_value()) kept.push_back(u);
+    if (single) {
+      traj::StreamCleaner& cleaner =
+          cleaners.try_emplace(0, cfg.cleaner_options_).first->second;
+      points = std::move(cleaner.CleanAll(points).mutable_points());
+    } else {
+      std::vector<traj::ObjectUpdate> kept;
+      kept.reserve(updates.size());
+      for (const traj::ObjectUpdate& u : updates) {
+        auto it =
+            cleaners.try_emplace(u.object_id, cfg.cleaner_options_).first;
+        if (it->second.Push(u.point).has_value()) kept.push_back(u);
+      }
+      updates = std::move(kept);
     }
     for (const auto& [id, cleaner] : cleaners) {
       const traj::CleanerStats& s = cleaner.stats();
@@ -568,137 +427,163 @@ Result<PipelineReport> Pipeline::RunEngine() {
       report.cleaner.out_of_order_dropped += s.out_of_order_dropped;
       report.cleaner.outliers_dropped += s.outliers_dropped;
     }
-    updates = std::move(kept);
   }
-  report.points_kept = updates.size();
+  report.points_kept = single ? points.size() : updates.size();
 
-  // Grouping validates per-object timestamp monotonicity *before* the
-  // engine trusts it, and supplies the originals for verification and
-  // delta encoding.
-  OPERB_ASSIGN_OR_RETURN(
-      const std::vector<traj::ObjectTrajectory> grouped,
-      traj::GroupUpdatesByObject(
-          std::span<const traj::ObjectUpdate>(updates)));
-  report.objects = grouped.size();
+  // Group and validate: the per-object originals that the store's time
+  // annotations, verification and delta encoding read. Strict timestamp
+  // monotonicity is checked here, before any simplifier trusts it. An
+  // empty source has no objects.
+  std::vector<traj::ObjectTrajectory> objects;
+  if (single) {
+    traj::Trajectory trajectory(std::move(points));
+    if (const Status s = trajectory.Validate(); !s.ok()) {
+      return Status::InvalidArgument(
+          s.message() +
+          " (timestamps must be strictly increasing; add a Clean() stage "
+          "to repair raw sensor streams)");
+    }
+    if (!trajectory.empty()) {
+      objects.push_back({traj::ObjectId{0}, std::move(trajectory)});
+    }
+  } else {
+    OPERB_ASSIGN_OR_RETURN(
+        objects, traj::GroupUpdatesByObject(
+                     std::span<const traj::ObjectUpdate>(updates)));
+  }
+  report.objects = objects.size();
 
-  // Store stage: writer created up front so segments stream into it from
-  // the worker threads (Append is thread-safe; per-object order is the
-  // engine's determinism contract). Times come from the grouped
-  // originals, which the sink reads concurrently but never mutates.
+  // Store stage: segments stream into the writer the moment they are
+  // determined, annotated with the timestamps of the covered original
+  // points (Append is thread-safe; the engine's sink reads the originals
+  // concurrently but never mutates them).
   std::unique_ptr<store::StoreWriter> store_writer;
   std::unordered_map<traj::ObjectId, const traj::Trajectory*> originals;
   if (cfg.write_store_) {
     OPERB_ASSIGN_OR_RETURN(
         store_writer,
         store::StoreWriter::Create(cfg.store_path_, cfg.store_options_));
-    originals.reserve(grouped.size());
-    for (const traj::ObjectTrajectory& obj : grouped) {
+    originals.reserve(objects.size());
+    for (const traj::ObjectTrajectory& obj : objects) {
       originals.emplace(obj.object_id, &obj.trajectory);
     }
   }
 
-  // Collect when the report keeps the segments or verification needs
-  // them; forward to the user sink either way.
+  // The per-segment chain both routes share: store, user sink, and
+  // collection when the report keeps the segments or verification needs
+  // them. Only the engine calls it from worker threads, so only the
+  // engine route takes the collection lock.
   const bool collect = !cfg.sink_ || cfg.verify_;
-  std::mutex mu;
   std::vector<traj::TaggedSegment> collected;
-  engine::TaggedSegmentSink engine_sink;
-  if (collect && cfg.sink_) {
-    engine_sink = [&](traj::ObjectId id, const traj::RepresentedSegment& s) {
-      cfg.sink_(id, s);
-      const std::lock_guard<std::mutex> lock(mu);
-      collected.push_back({id, s});
-    };
-  } else if (collect) {
-    engine_sink = [&](traj::ObjectId id, const traj::RepresentedSegment& s) {
-      const std::lock_guard<std::mutex> lock(mu);
-      collected.push_back({id, s});
-    };
-  } else {
-    engine_sink = cfg.sink_;
-  }
-  if (store_writer != nullptr) {
-    engine_sink = [&originals, &store_writer,
-                   inner = std::move(engine_sink)](
-                      traj::ObjectId id,
-                      const traj::RepresentedSegment& s) {
+  std::mutex collect_mu;
+  const auto emit = [&](traj::ObjectId id, const traj::RepresentedSegment& s) {
+    if (store_writer != nullptr) {
       const traj::Trajectory& original = *originals.at(id);
       store_writer->Append(
           {id, s, original[s.first_index].t, original[s.last_index].t});
-      if (inner) inner(id, s);
-    };
-  }
+    }
+    if (cfg.sink_) cfg.sink_(id, s);
+    if (collect) {
+      std::unique_lock<std::mutex> lock(collect_mu, std::defer_lock);
+      if (cfg.use_engine_) lock.lock();
+      collected.push_back({id, s});
+    }
+  };
 
-  std::unique_ptr<engine::StreamEngine> eng;
-  if (!cfg.resume_path_.empty()) {
-    OPERB_ASSIGN_OR_RETURN(
-        eng, engine::StreamEngine::CreateFromCheckpoint(
-                 cfg.resume_path_, cfg.engine_options_,
-                 std::move(engine_sink)));
-    report.resumed = true;
-  } else {
-    OPERB_ASSIGN_OR_RETURN(eng,
-                           engine::StreamEngine::Create(
-                               cfg.engine_options_, std::move(engine_sink)));
-  }
+  // Simplify — the only fork. Inline, the calling thread drives one
+  // streaming simplifier per object (what the engine's per-object state
+  // is); the engine shards the interleaved stream over worker threads.
   Stopwatch watch;
-  {
+  if (!cfg.use_engine_) {
+    obs::TraceSpan span("pipeline.simplify");
+    obs::ScopedTimer simplify_timer(
+        obs::kMetricsEnabled ? GetPipelineMetrics().simplify_ns : nullptr);
+    for (const traj::ObjectTrajectory& obj : objects) {
+      // The one-pass algorithms emit nothing with <2 points pushed;
+      // skipping the push mirrors Simplifier::Simplify's contract for the
+      // buffering baselines too.
+      if (obj.trajectory.size() < 2) continue;
+      OPERB_ASSIGN_OR_RETURN(
+          const std::unique_ptr<baselines::StreamingSimplifier> simplifier,
+          AlgorithmRegistry::Global().MakeStreaming(cfg.spec_));
+      simplifier->SetSink(
+          [&, id = obj.object_id](const traj::RepresentedSegment& s) {
+            ++report.segments;
+            emit(id, s);
+          });
+      simplifier->Push(std::span<const geo::Point>(obj.trajectory.points()));
+      simplifier->Finish();
+    }
+  } else {
+    if (single && !objects.empty()) {
+      updates.reserve(objects.front().trajectory.size());
+      for (const geo::Point& p : objects.front().trajectory) {
+        updates.push_back({traj::ObjectId{0}, p});
+      }
+    }
+    std::unique_ptr<engine::StreamEngine> eng;
+    if (!cfg.resume_path_.empty()) {
+      OPERB_ASSIGN_OR_RETURN(eng, engine::StreamEngine::CreateFromCheckpoint(
+                                      cfg.resume_path_, cfg.engine_options_,
+                                      emit));
+      report.resumed = true;
+    } else {
+      OPERB_ASSIGN_OR_RETURN(
+          eng, engine::StreamEngine::Create(cfg.engine_options_, emit));
+    }
+    watch.Restart();
     obs::TraceSpan span("pipeline.simplify");
     obs::ScopedTimer simplify_timer(
         obs::kMetricsEnabled ? GetPipelineMetrics().simplify_ns : nullptr);
     const bool do_checkpoint = !cfg.checkpoint_path_.empty();
     const std::size_t snap_every = cfg.metrics_ ? cfg.metrics_every_ : 0;
-    if (do_checkpoint || snap_every > 0) {
-      // Chunked ingest with a durable write at every cadence boundary.
-      // Checkpoints keep their historical contract (every_n == 0: one
-      // chunk covering everything, one snapshot after it; a trailing
-      // partial chunk still checkpoints — each Checkpoint() is a drain
-      // barrier, so the written state is exactly "after this prefix").
-      // Metrics snapshots fire after each chunk of metrics_every_
-      // updates. With both stages on, each Push covers the distance to
-      // the nearer boundary, so neither cadence disturbs the other.
-      const std::size_t cp_chunk = cfg.checkpoint_every_ == 0
-                                       ? updates.size()
-                                       : cfg.checkpoint_every_;
-      std::span<const traj::ObjectUpdate> rest(updates);
-      std::size_t cp_due = cp_chunk;
-      std::size_t snap_due = snap_every;
-      do {
-        std::size_t take = rest.size();
-        if (do_checkpoint) take = std::min(take, cp_due);
-        if (snap_every > 0) take = std::min(take, snap_due);
-        if (take > 0) eng->Push(rest.first(take));
-        rest = rest.subspan(take);
-        if (do_checkpoint) {
-          cp_due -= take;
-          if (cp_due == 0 || rest.empty()) {
-            OPERB_RETURN_IF_ERROR(
-                eng->Checkpoint(cfg.checkpoint_path_, cfg.checkpoint_env_));
-            ++report.checkpoints_written;
-            cp_due = cp_chunk;
-          }
-        }
-        if (snap_every > 0) {
-          snap_due -= take;
-          if (snap_due == 0) {
-            WriteMetricsSnapshot(cfg.metrics_path_, cfg.metrics_env_,
-                                 &report);
-            snap_due = snap_every;
-          }
-        }
-      } while (!rest.empty());
+    // Chunked ingest with a durable write at every cadence boundary; with
+    // neither stage on, one chunk covers everything. Checkpoints keep
+    // their historical contract (every_n == 0: one chunk covering
+    // everything, one snapshot after it; a trailing partial chunk still
+    // checkpoints — each Checkpoint() is a drain barrier, so the written
+    // state is exactly "after this prefix"). Metrics snapshots fire after
+    // each chunk of metrics_every_ updates. With both stages on, each
+    // Push covers the distance to the nearer boundary, so neither
+    // cadence disturbs the other.
+    const std::size_t cp_chunk = cfg.checkpoint_every_ == 0
+                                     ? updates.size()
+                                     : cfg.checkpoint_every_;
+    std::span<const traj::ObjectUpdate> rest(updates);
+    std::size_t cp_due = cp_chunk;
+    std::size_t snap_due = snap_every;
+    do {
+      std::size_t take = rest.size();
+      if (do_checkpoint) take = std::min(take, cp_due);
+      if (snap_every > 0) take = std::min(take, snap_due);
+      if (take > 0) eng->Push(rest.first(take));
+      rest = rest.subspan(take);
       if (do_checkpoint) {
-        report.checkpointed = true;
-        report.checkpoint_path = cfg.checkpoint_path_;
+        cp_due -= take;
+        if (cp_due == 0 || rest.empty()) {
+          OPERB_RETURN_IF_ERROR(
+              eng->Checkpoint(cfg.checkpoint_path_, cfg.checkpoint_env_));
+          ++report.checkpoints_written;
+          cp_due = cp_chunk;
+        }
       }
-    } else {
-      eng->Push(std::span<const traj::ObjectUpdate>(updates));
+      if (snap_every > 0) {
+        snap_due -= take;
+        if (snap_due == 0) {
+          WriteMetricsSnapshot(cfg.metrics_path_, cfg.metrics_env_, &report);
+          snap_due = snap_every;
+        }
+      }
+    } while (!rest.empty());
+    if (do_checkpoint) {
+      report.checkpointed = true;
+      report.checkpoint_path = cfg.checkpoint_path_;
     }
     eng->Close();
+    report.engine_stats = eng->stats();
+    report.segments = static_cast<std::size_t>(report.engine_stats.segments);
   }
   report.simplify_seconds = watch.ElapsedSeconds();
-  report.engine_stats = eng->stats();
-  report.segments = static_cast<std::size_t>(report.engine_stats.segments);
 
   if (store_writer != nullptr) {
     obs::ScopedTimer close_timer(
@@ -710,9 +595,11 @@ Result<PipelineReport> Pipeline::RunEngine() {
     report.store_stats = store_writer->stats();
   }
 
-  if (collect) {
-    // Per-object order is emission order already; a stable sort by id
-    // groups objects into contiguous runs without disturbing it.
+  // Per-object order is emission order already. The inline route emits
+  // object by object; the engine interleaves objects across workers, so a
+  // stable sort by id groups them into contiguous runs without disturbing
+  // each object's order.
+  if (cfg.use_engine_ && collect) {
     std::stable_sort(collected.begin(), collected.end(),
                      [](const traj::TaggedSegment& a,
                         const traj::TaggedSegment& b) {
@@ -725,25 +612,13 @@ Result<PipelineReport> Pipeline::RunEngine() {
         obs::kMetricsEnabled ? GetPipelineMetrics().verify_ns : nullptr);
     report.verify_ran = true;
     report.verified = true;
-    // `collected` is sorted by id: walk each object's contiguous run.
-    std::unordered_map<traj::ObjectId, std::pair<std::size_t, std::size_t>>
-        runs;
-    for (std::size_t j = 0; j < collected.size();) {
-      std::size_t k = j;
-      while (k < collected.size() &&
-             collected[k].object_id == collected[j].object_id) {
-        ++k;
-      }
-      runs.emplace(collected[j].object_id, std::make_pair(j, k));
-      j = k;
-    }
-    for (const traj::ObjectTrajectory& obj : grouped) {
+    for (const traj::ObjectTrajectory& obj : objects) {
       if (obj.trajectory.size() < 2) continue;  // empty output by contract
       traj::PiecewiseRepresentation rep;
-      if (const auto it = runs.find(obj.object_id); it != runs.end()) {
-        for (std::size_t j = it->second.first; j < it->second.second; ++j) {
-          rep.Append(collected[j].segment);
-        }
+      for (const traj::TaggedSegment& s :
+           std::ranges::equal_range(collected, obj.object_id, {},
+                                    &traj::TaggedSegment::object_id)) {
+        rep.Append(s.segment);
       }
       const eval::VerificationResult verdict = eval::VerifyErrorBound(
           obj.trajectory, rep, cfg.spec_.zeta, cfg.verify_slack_);
@@ -759,15 +634,16 @@ Result<PipelineReport> Pipeline::RunEngine() {
   if (cfg.delta_) {
     obs::ScopedTimer delta_timer(
         obs::kMetricsEnabled ? GetPipelineMetrics().delta_ns : nullptr);
-    for (const traj::ObjectTrajectory& obj : grouped) {
+    for (const traj::ObjectTrajectory& obj : objects) {
       report.delta_bytes +=
           codec::DeltaEncode(obj.trajectory, cfg.delta_options_).size();
     }
     report.delta_ratio =
-        updates.empty() ? 0.0
-                        : static_cast<double>(report.delta_bytes) /
-                              (kRawBytesPerPoint *
-                               static_cast<double>(updates.size()));
+        report.points_kept == 0
+            ? 0.0
+            : static_cast<double>(report.delta_bytes) /
+                  (kRawBytesPerPoint *
+                   static_cast<double>(report.points_kept));
   }
 
   if (!cfg.sink_) report.segments_out = std::move(collected);

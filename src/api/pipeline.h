@@ -40,12 +40,16 @@ struct PipelineReport {
   std::size_t points_in = 0;    ///< raw samples ingested
   std::size_t points_kept = 0;  ///< after the clean stage (== points_in
                                 ///< when cleaning is off)
-  std::size_t objects = 0;      ///< trajectories simplified
+  /// Trajectories simplified. An empty source has none, on either
+  /// path: objects == 0, delta_bytes == 0, and Verify reports verified
+  /// (nothing to violate).
+  std::size_t objects = 0;
   std::size_t segments = 0;     ///< output segments across all objects
 
-  /// Wall time of the simplification stage alone: single path — push +
-  /// finish; engine path — push + Close() (which includes the drain
-  /// barrier). Ingest, cleaning, verification and encoding are excluded.
+  /// Wall time of the simplification stage alone: inline — simplifier
+  /// construction, push and finish; engine path — push + Close() (which
+  /// includes the drain barrier). Ingest, cleaning, verification and
+  /// encoding are excluded.
   double simplify_seconds = 0.0;
 
   /// Clean-stage counters (zeros when the stage is off).
@@ -101,12 +105,15 @@ struct PipelineReport {
 ///          → write-store → sink
 ///
 /// Exactly one ingest source and a simplifier spec are required; every
-/// other stage is opt-in. Single-trajectory sources run the one-pass
-/// streaming sink path in the calling thread; multi-object sources (and
-/// any source combined with Engine()) run on the sharded
-/// engine::StreamEngine with per-object cleaning and verification. Both
-/// paths emit segments bit-identical to the equivalent hand-assembled
-/// calls — the facade adds composition, not behavior.
+/// other stage is opt-in. Run() is one dataflow for every source: a
+/// single-trajectory source is object 0, a multi-object source is its
+/// objects, and each stage (clean, store, verify, delta) works per
+/// object. Only the simplify step forks. By default the calling thread
+/// drives one streaming simplifier per object. Multi-object sources,
+/// Engine(), Checkpoint(), ResumeFrom() and periodic MetricsSnapshots()
+/// run it on the sharded engine::StreamEngine instead. Both paths emit
+/// segments bit-identical to the equivalent hand-assembled calls and
+/// report the same counts — the facade adds composition, not behavior.
 ///
 /// Error handling follows the library's boundary contract (DESIGN.md §7):
 /// configuration errors surface at Build(), data errors (unreadable file,
@@ -170,8 +177,8 @@ class Pipeline {
     Builder& Engine(engine::StreamEngineOptions options);
     /// Deliver segments to `sink` instead of collecting them into the
     /// report. Engine path: called from worker threads (see
-    /// TaggedSegmentSink's contract); single path: called inline, with
-    /// object id 0.
+    /// TaggedSegmentSink's contract); inline: called on the calling
+    /// thread (a single-trajectory source is object id 0).
     Builder& ToSink(engine::TaggedSegmentSink sink);
     /// Periodically snapshot the engine's complete streaming state to
     /// `path` (engine::StreamEngine::Checkpoint: drain barrier, temp
@@ -261,9 +268,6 @@ class Pipeline {
 
  private:
   explicit Pipeline(Builder config) : config_(std::move(config)) {}
-
-  Result<PipelineReport> RunSingle();
-  Result<PipelineReport> RunEngine();
 
   Builder config_;
   bool ran_ = false;

@@ -2,9 +2,9 @@
 #define OPERB_STORE_READER_H_
 
 /// \file
-/// Query reader over a trajectory store (sharded directory or legacy
-/// single file): per-object reconstruction, window queries via the
-/// hierarchical block index, position-at-time.
+/// Query reader over a sharded trajectory store directory: per-object
+/// reconstruction, window queries via the hierarchical block index,
+/// position-at-time.
 
 #include <chrono>
 #include <cstddef>
@@ -31,10 +31,7 @@ struct StoreOpenInfo {
   bool tail_dropped = false;        ///< some file's partial tail was ignored
   std::uint64_t dropped_bytes = 0;  ///< bytes ignored across files after
                                     ///< the last valid block
-  /// True when the path was a legacy (PR 5) single-file store opened
-  /// through the compat shim: one implicit shard, no manifest.
-  bool legacy_single_file = false;
-  std::uint64_t generation = 0;  ///< manifest generation (0 for legacy)
+  std::uint64_t generation = 0;  ///< manifest generation
   /// Times Open() lost the manifest-swap race against a concurrent
   /// compaction commit and re-read the manifest (each retry backs off,
   /// see StoreReader::Open).
@@ -81,11 +78,10 @@ struct StoreQueryStats {
 
 /// Query reader over a trajectory store.
 ///
-/// Open() accepts either a store directory (manifest + per-shard
-/// segment files, the current format) or a legacy single-file store
-/// (compat shim, read-only as ever). It reads the manifest, opens every
-/// live segment file — footer scans only, payloads stay on disk — and
-/// bulk-loads the hierarchical block index from the footers.
+/// Open() takes a store directory (manifest + per-shard segment files).
+/// It reads the manifest, opens every live segment file — footer scans
+/// only, payloads stay on disk — and bulk-loads the hierarchical block
+/// index from the footers.
 ///
 /// Queries prune blocks whose footer metadata cannot match and decode
 /// only the survivors; payload checksums are verified lazily, the first
@@ -125,7 +121,7 @@ class StoreReader {
   /// Total stored segments (sum of footer counts).
   std::uint64_t segment_count() const { return segment_count_; }
 
-  /// Shards the store was written with (1 for legacy files).
+  /// Shards the store was written with.
   std::size_t num_shards() const { return shard_blocks_.size(); }
 
   /// Live segment files backing this reader.

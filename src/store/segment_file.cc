@@ -154,10 +154,7 @@ Result<std::unique_ptr<SegmentFileReader>> SegmentFileReader::Open(
       std::fread(header.data(), 1, header.size(), file) != header.size()) {
     return Status::IOError("cannot read segment file header from " + path);
   }
-  OPERB_ASSIGN_OR_RETURN(const FileHeaderInfo info, DecodeFileHeader(header));
-  reader->zeta_ = info.zeta;
-  reader->version_ = info.version;
-  const std::size_t footer_bytes = FooterBytes(info.version);
+  OPERB_ASSIGN_OR_RETURN(reader->zeta_, DecodeFileHeader(header));
 
   // Structural scan: length prefix -> footer, payloads skipped. An
   // *incomplete* final frame is the torn tail a crashed append leaves
@@ -178,17 +175,17 @@ Result<std::unique_ptr<SegmentFileReader>> SegmentFileReader::Open(
         (static_cast<std::uint32_t>(len_bytes[2]) << 16) |
         (static_cast<std::uint32_t>(len_bytes[3]) << 24);
     if (remaining <
-        4 + static_cast<std::uint64_t>(payload_bytes) + footer_bytes) {
+        4 + static_cast<std::uint64_t>(payload_bytes) + kBlockFooterBytes) {
       break;  // partial tail frame
     }
-    std::vector<std::uint8_t> footer_data(footer_bytes);
+    std::vector<std::uint8_t> footer_data(kBlockFooterBytes);
     if (!SeekTo(file, pos + 4 + payload_bytes) ||
         std::fread(footer_data.data(), 1, footer_data.size(), file) !=
             footer_data.size()) {
       return Status::IOError("cannot read block footer in " + path);
     }
     OPERB_ASSIGN_OR_RETURN(const BlockFooter footer,
-                           DecodeFooter(footer_data, info.version));
+                           DecodeFooter(footer_data));
     if (footer.payload_bytes != payload_bytes) {
       return Status::Corruption(
           "block length prefix disagrees with its footer in " + path);
@@ -198,7 +195,7 @@ Result<std::unique_ptr<SegmentFileReader>> SegmentFileReader::Open(
     ref.payload_offset = pos + 4;
     ref.footer = footer;
     reader->blocks_.push_back(ref);
-    pos += 4 + payload_bytes + footer_bytes;
+    pos += 4 + payload_bytes + kBlockFooterBytes;
   }
   if (pos < file_size) {
     reader->open_info_.tail_dropped = true;

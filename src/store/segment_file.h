@@ -4,7 +4,7 @@
 /// \file
 /// One segment file: the append-only block container that is the unit of
 /// sharding and compaction. A directory store is a manifest naming many
-/// of these; a legacy single-file store is exactly one of them.
+/// of these.
 
 #include <cstddef>
 #include <cstdint>
@@ -117,7 +117,7 @@ class SegmentFileWriter {
   SegmentFileStats stats_;
 };
 
-/// Footer-scan reader of one segment file (format v1 or v2).
+/// Footer-scan reader of one segment file.
 ///
 /// Open() scans the block structure once — length prefixes and footers
 /// only, payloads stay on disk — applying the valid-prefix rule: an
@@ -144,9 +144,6 @@ class SegmentFileReader {
   /// The error bound recorded in the file header.
   double zeta() const { return zeta_; }
 
-  /// The file's format version (kFormatVersionLegacy or kFormatVersion).
-  std::uint32_t format_version() const { return version_; }
-
   const std::vector<BlockRef>& blocks() const { return blocks_; }
 
   const SegmentFileOpenInfo& open_info() const { return open_info_; }
@@ -162,7 +159,6 @@ class SegmentFileReader {
 
   std::string path_;
   double zeta_ = 0.0;
-  std::uint32_t version_ = kFormatVersion;
   std::uint64_t file_bytes_ = 0;
   std::vector<BlockRef> blocks_;
   SegmentFileOpenInfo open_info_;

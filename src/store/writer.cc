@@ -39,8 +39,8 @@ Result<std::unique_ptr<StoreWriter>> StoreWriter::Create(
 
   std::error_code ec;
   const fs::file_status st = fs::status(path, ec);
-  // A leftover single-file store (or any regular file) at the path gives
-  // way, matching the old writer's truncate-on-create semantics.
+  // A regular file at the path gives way, matching the old writer's
+  // truncate-on-create semantics.
   if (!ec && fs::is_regular_file(st)) {
     fs::remove(path, ec);
     if (ec) {

@@ -9,7 +9,11 @@
 // pre-optimization implementation), so all three construction surfaces
 // emit the same segments.
 
+#include <algorithm>
+#include <cmath>
+#include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -23,6 +27,7 @@
 #include "api/pipeline.h"
 #include "api/registry.h"
 #include "api/spec.h"
+#include "api/store_query.h"
 #include "obs/snapshot.h"
 #include "store/env.h"
 #include "baselines/simplifier.h"
@@ -655,6 +660,216 @@ TEST(PipelineTest, MetricsSnapshotFaultsNeverAbortIngest) {
   EXPECT_EQ(run->snapshots_written, 0u);
   EXPECT_EQ(run->snapshot_failures, run->points_in / 500 + 1);
   ExpectSameTaggedSegments(run->segments_out, plain->segments_out);
+}
+
+// ---------------------------------------------------------------------
+// One Run, two simplify routes: inline and engine must agree.
+// ---------------------------------------------------------------------
+
+enum class RouteSource { kTrajectory, kCsv, kCsvFile, kPltFile };
+constexpr const char* kRouteSourceNames[] = {"Trajectory", "Csv", "CsvFile",
+                                             "PltFile"};
+/// How a run reaches the simplify step: inline, or one of the stages
+/// that imply the engine.
+enum class Route { kInline, kEngine, kCheckpoint, kPeriodicMetrics };
+constexpr const char* kRouteNames[] = {"Inline", "Engine", "Checkpoint",
+                                       "PeriodicMetrics"};
+void PrintTo(RouteSource source, std::ostream* os) {
+  *os << kRouteSourceNames[static_cast<int>(source)];
+}
+void PrintTo(Route route, std::ostream* os) {
+  *os << kRouteNames[static_cast<int>(route)];
+}
+
+/// The golden SerCar track with a raw feed's faults: a duplicate every
+/// 17th sample, a stale repeat every 29th and a 5 km spike every 41st.
+traj::Trajectory DirtyTrajectory() {
+  const traj::Trajectory clean =
+      GoldenTrajectory(datagen::DatasetKind::kSerCar);
+  traj::Trajectory dirty;
+  for (std::size_t i = 0; i + 1 < clean.size(); ++i) {
+    dirty.AppendUnchecked(clean[i]);
+    if (i % 17 == 5) dirty.AppendUnchecked(clean[i]);
+    if (i % 29 == 7) dirty.AppendUnchecked(clean[i - 2]);
+    if (i % 41 == 9) {
+      dirty.AppendUnchecked({clean[i].x + 5000.0, clean[i].y,
+                             0.5 * (clean[i].t + clean[i + 1].t)});
+    }
+  }
+  return dirty;
+}
+
+/// Writes a 400-fix GeoLife .plt file (a winding, 5 s-sampled track).
+std::string WritePlt(const std::string& path) {
+  std::ofstream out(path);
+  out << "Geolife trajectory\nWGS 84\nAltitude is in Feet\nReserved 3\n"
+         "0,2,255,My Track,0,0,2,8421376\n0\n"
+      << std::fixed;
+  for (int i = 0; i < 400; ++i) {
+    out << std::setprecision(6) << 39.9 + 4e-5 * i + 2e-3 * std::sin(i / 9.0)
+        << ',' << 116.38 + 5e-5 * i << ",0,492," << std::setprecision(8)
+        << 39744.25 + 5.0 * i / 86400.0 << ",2008-10-23,05:53:06\n";
+  }
+  return path;
+}
+
+/// One run: Verify + DeltaEncode + WriteStore over `source` (the dirty
+/// track when `clean`) along `route`, in a directory of the current
+/// test's own. Returns the report and object 0 read back from the store.
+Result<std::pair<api::PipelineReport, std::vector<traj::TimedSegment>>>
+RunRoute(RouteSource source, bool clean, Route route) {
+  std::string test =
+      testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::replace(test.begin(), test.end(), '/', '_');
+  const std::string dir = testing::TempDir() + "/pipeline_route_" + test +
+                          "_" + kRouteNames[static_cast<int>(route)];
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const traj::Trajectory input =
+      clean ? DirtyTrajectory()
+            : GoldenTrajectory(datagen::DatasetKind::kSerCar);
+  const std::string csv = traj::WriteCsvString(input);
+  api::Pipeline::Builder builder;
+  switch (source) {
+    case RouteSource::kTrajectory:
+      builder.FromTrajectory(input);
+      break;
+    case RouteSource::kCsv:
+      builder.FromCsv(csv);
+      break;
+    case RouteSource::kCsvFile:
+      std::ofstream(dir + "/in.csv") << csv;
+      builder.FromCsvFile(dir + "/in.csv");
+      break;
+    case RouteSource::kPltFile:  // validating parser: always well-formed
+      builder.FromPltFile(WritePlt(dir + "/in.plt"));
+      break;
+  }
+  traj::CleanerOptions cleaner;
+  cleaner.max_speed_mps = 200.0;
+  if (clean) builder.Clean(cleaner);
+  engine::StreamEngineOptions eopts;
+  eopts.num_shards = 2;
+  eopts.num_threads = 2;
+  if (route == Route::kEngine) builder.Engine(eopts);
+  if (route == Route::kCheckpoint) builder.Checkpoint(dir + "/ckpt");
+  if (route == Route::kPeriodicMetrics) {
+    builder.MetricsSnapshots(dir + "/metrics.json", 100);
+  }
+  builder.Simplify("OPERB-A:zeta=20").Verify().DeltaEncode().WriteStore(
+      dir + "/store");
+  OPERB_ASSIGN_OR_RETURN(api::Pipeline pipeline, builder.Build());
+  OPERB_ASSIGN_OR_RETURN(api::PipelineReport report, pipeline.Run());
+  api::StoreQuery query;
+  query.store_path = dir + "/store";
+  query.has_object = true;
+  OPERB_ASSIGN_OR_RETURN(api::StoreQueryReport stored,
+                         api::RunStoreQuery(query));
+  return std::make_pair(std::move(report), std::move(stored.segments));
+}
+
+class PipelineRouteTest
+    : public testing::TestWithParam<std::tuple<RouteSource, bool, Route>> {};
+
+TEST_P(PipelineRouteTest, EngineRoutesAgreeWithInline) {
+  const auto [source, clean, route] = GetParam();
+  const auto inline_run = RunRoute(source, clean, Route::kInline);
+  ASSERT_TRUE(inline_run.ok()) << inline_run.status().ToString();
+  const auto engine_run = RunRoute(source, clean, route);
+  ASSERT_TRUE(engine_run.ok()) << engine_run.status().ToString();
+  const api::PipelineReport& a = inline_run->first;
+  const api::PipelineReport& b = engine_run->first;
+
+  EXPECT_FALSE(a.used_engine);
+  EXPECT_TRUE(b.used_engine);
+  EXPECT_EQ(b.checkpoints_written, route == Route::kCheckpoint ? 1u : 0u);
+  if (route == Route::kPeriodicMetrics) {
+    EXPECT_EQ(b.snapshots_written, b.points_kept / 100 + 1);
+  }
+  EXPECT_GT(a.segments, 1u);
+  EXPECT_EQ(a.segments, b.segments);
+  ExpectSameTaggedSegments(a.segments_out, b.segments_out);
+  EXPECT_EQ(a.points_in, b.points_in);
+  EXPECT_EQ(a.points_kept, b.points_kept);
+  EXPECT_EQ(a.cleaner.accepted, b.cleaner.accepted);
+  EXPECT_EQ(a.cleaner.duplicates_dropped, b.cleaner.duplicates_dropped);
+  EXPECT_EQ(a.cleaner.out_of_order_dropped, b.cleaner.out_of_order_dropped);
+  EXPECT_EQ(a.cleaner.outliers_dropped, b.cleaner.outliers_dropped);
+  if (clean && source != RouteSource::kPltFile) {
+    // The dirty track really exercises every repair.
+    EXPECT_GT(a.cleaner.duplicates_dropped, 0u);
+    EXPECT_GT(a.cleaner.out_of_order_dropped, 0u);
+    EXPECT_GT(a.cleaner.outliers_dropped, 0u);
+  }
+  EXPECT_EQ(a.objects, 1u);
+  EXPECT_EQ(b.objects, 1u);
+  EXPECT_TRUE(a.verified);
+  EXPECT_TRUE(b.verified);
+  EXPECT_EQ(a.worst_distance, b.worst_distance);
+  EXPECT_GT(a.delta_bytes, 0u);
+  EXPECT_EQ(a.delta_bytes, b.delta_bytes);
+
+  // The stored object is the emitted one, with the same time annotations
+  // on both routes.
+  for (const auto* run : {&*inline_run, &*engine_run}) {
+    std::vector<traj::TaggedSegment> stored;
+    for (const traj::TimedSegment& s : run->second) {
+      stored.push_back({s.object_id, s.segment});
+    }
+    ExpectSameTaggedSegments(stored, run->first.segments_out);
+  }
+  ASSERT_EQ(inline_run->second.size(), engine_run->second.size());
+  for (std::size_t i = 0; i < inline_run->second.size(); ++i) {
+    EXPECT_EQ(inline_run->second[i].t_start, engine_run->second[i].t_start);
+    EXPECT_EQ(inline_run->second[i].t_end, engine_run->second[i].t_end);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SourcesByCleanByRoute, PipelineRouteTest,
+    testing::Combine(testing::Values(RouteSource::kTrajectory,
+                                     RouteSource::kCsv, RouteSource::kCsvFile,
+                                     RouteSource::kPltFile),
+                     testing::Bool(),
+                     testing::Values(Route::kEngine, Route::kCheckpoint,
+                                     Route::kPeriodicMetrics)),
+    [](const testing::TestParamInfo<PipelineRouteTest::ParamType>& info) {
+      return std::string(
+                 kRouteSourceNames[static_cast<int>(std::get<0>(info.param))]) +
+             (std::get<1>(info.param) ? "_Clean_" : "_Raw_") +
+             kRouteNames[static_cast<int>(std::get<2>(info.param))];
+    });
+
+TEST(PipelineTest, EmptySourceHasNoObjectsOnEitherRoute) {
+  for (const bool engine : {false, true}) {
+    for (const bool csv : {false, true}) {
+      const std::string store = testing::TempDir() + "/pipeline_empty_" +
+                                std::to_string(engine) + std::to_string(csv);
+      std::filesystem::remove_all(store);
+      api::Pipeline::Builder builder;
+      if (csv) builder.FromCsv("").Clean();
+      if (!csv) builder.FromTrajectory(traj::Trajectory());
+      if (engine) builder.Engine({});
+      Result<api::Pipeline> pipeline = builder.Simplify("OPERB:zeta=20")
+                                           .Verify()
+                                           .DeltaEncode()
+                                           .WriteStore(store)
+                                           .Build();
+      ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+      const Result<api::PipelineReport> run = pipeline->Run();
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      SCOPED_TRACE(std::string(engine ? "engine" : "inline") +
+                   (csv ? " csv" : " trajectory"));
+      EXPECT_EQ(run->used_engine, engine);
+      EXPECT_EQ(run->objects, 0u);
+      EXPECT_EQ(run->segments, 0u);
+      EXPECT_TRUE(run->verified);
+      EXPECT_EQ(run->worst_distance, 0.0);
+      EXPECT_EQ(run->delta_bytes, 0u);
+      EXPECT_EQ(run->delta_ratio, 0.0);
+      EXPECT_EQ(run->store_stats.segments, 0u);
+    }
+  }
 }
 
 }  // namespace

@@ -489,7 +489,7 @@ TEST(StoreTest, InvertedFooterRangesFailOpenWithStatus) {
   const std::span<const std::uint8_t> footer_bytes(
       reinterpret_cast<const std::uint8_t*>(original.data()) + footer_at,
       store::kBlockFooterBytes);
-  auto footer = store::DecodeFooter(footer_bytes, store::kFormatVersion);
+  auto footer = store::DecodeFooter(footer_bytes);
   ASSERT_TRUE(footer.ok()) << footer.status().ToString();
   footer->object_min = footer->object_max + 1;  // inverted
   const std::span<const std::uint8_t> payload(
@@ -515,7 +515,7 @@ TEST(StoreTest, InvertedFooterRangesFailOpenWithStatus) {
 
   // The same treatment for the time interval and the bounding box.
   auto patch_and_open = [&](auto mutate) {
-    auto f = store::DecodeFooter(footer_bytes, store::kFormatVersion);
+    auto f = store::DecodeFooter(footer_bytes);
     EXPECT_TRUE(f.ok());
     mutate(&*f);
     f->checksum = store::BlockChecksum(payload, *f);
@@ -593,6 +593,33 @@ TEST(StoreTest, OpenRejectsForeignAndTruncatedHeaders) {
                 .status()
                 .code(),
             StatusCode::kIOError);
+}
+
+TEST(StoreTest, OpenRejectsBareSegmentFilesAndOtherVersions) {
+  // A store is a directory: one of its segment files passed on its own
+  // is not a store, and a segment file whose header names another format
+  // version fails the directory open instead of being read under
+  // weaker footer checks.
+  const std::string path = TempPath("store_bare_segment.store");
+  const std::vector<traj::TimedSegment> all =
+      SimplifyTimed(testutil::ZigZag(40), baselines::Algorithm::kOPERB, 3);
+  { WriteAndOpen(path, all); }
+  const std::string segment = OnlySegmentFile(path);
+  EXPECT_EQ(store::StoreReader::Open(segment).status().code(),
+            StatusCode::kCorruption);
+  ASSERT_TRUE(store::StoreReader::Open(path).ok());
+
+  std::string bytes = ReadFileBytes(segment);
+  ASSERT_GT(bytes.size(), store::kFileHeaderBytes);
+  bytes[7] = '1';   // magic generation
+  bytes[8] = 1;     // u32 version, little-endian
+  WriteFileBytes(segment, bytes);
+  const auto reopened = store::StoreReader::Open(path);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(reopened.status().ToString().find("unsupported store format"),
+            std::string::npos)
+      << reopened.status().ToString();
 }
 
 TEST(StoreTest, WriterRejectsBadOptionsAndLateAppends) {

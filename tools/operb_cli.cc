@@ -315,6 +315,10 @@ bool CheckFlagRules(const tools::FlagTable& flags, CliOptions* o) {
   const int inputs = (o->csv_path.empty() ? 0 : 1) +
                      (o->plt_path.empty() ? 0 : 1) +
                      (o->generate_spec.empty() ? 0 : 1);
+  if (inputs > 1) {
+    return flags.Reject(
+        "--input, --plt and --generate are mutually exclusive");
+  }
   if (o->mode == kConnect) {
     // Same shape rules api::StoreQuery::Validate enforces offline, so
     // the two paths share one usage contract (and exit code).
@@ -336,10 +340,6 @@ bool CheckFlagRules(const tools::FlagTable& flags, CliOptions* o) {
     return true;
   }
   if (o->mode != kSingle && o->mode != kGroup) return true;
-  if (inputs > 1) {
-    return flags.Reject(
-        "--input, --plt and --generate are mutually exclusive");
-  }
   if (inputs == 0) o->generate_spec = "SerCar:2000:1";
   // The boundary validation: unknown algorithms, non-positive zeta and
   // out-of-range algorithm options all surface here as one Status line.
@@ -576,12 +576,11 @@ int RunQuery(const CliOptions& options) {
   if (!run.ok()) return StatusExit(run.status());
   const api::StoreQueryReport& report = *run;
   std::printf("store:     %s  (%zu blocks, %llu segments, zeta %g m, "
-              "%zu shard(s), %zu file(s), generation %llu%s%s)\n",
+              "%zu shard(s), %zu file(s), generation %llu%s)\n",
               options.query.store_path.c_str(), report.store_blocks,
               static_cast<unsigned long long>(report.store_segments),
               report.zeta, report.store_shards, report.store_files,
               static_cast<unsigned long long>(report.store_generation),
-              report.legacy_single_file ? ", legacy single-file" : "",
               report.tail_dropped ? ", torn tail dropped" : "");
   const store::StoreQueryStats& stats = report.stats;
   std::printf("scan:      skipped %llu of %llu blocks on footer metadata, "
