@@ -16,9 +16,7 @@ int main(int argc, char** argv) {
       "mild decrease with zeta; OPERB ~4-5x faster than FBQS, ~14-21x "
       "than DP; OPERB-A ~= OPERB");
 
-  const std::vector<baselines::Algorithm> algos{
-      baselines::Algorithm::kDP, baselines::Algorithm::kFBQS,
-      baselines::Algorithm::kOPERB, baselines::Algorithm::kOPERBA};
+  const std::vector<std::string> algos{"DP", "FBQS", "OPERB", "OPERB-A"};
 
   for (auto kind : datagen::AllDatasetKinds()) {
     const auto dataset = bench::MakeDataset(kind, 8, 8000);
@@ -26,8 +24,8 @@ int main(int argc, char** argv) {
     std::printf("\n[%s] time per point (ns)\n",
                 std::string(datagen::DatasetName(kind)).c_str());
     std::printf("%8s", "zeta_m");
-    for (auto algo : algos) {
-      std::printf(" %11s", std::string(baselines::AlgorithmName(algo)).c_str());
+    for (const std::string& algo : algos) {
+      std::printf(" %11s", algo.c_str());
     }
     std::printf(" %11s %11s\n", "DP/OPERB", "FBQS/OPERB");
 
@@ -36,14 +34,14 @@ int main(int argc, char** argv) {
     for (double zeta : {10.0, 20.0, 40.0, 60.0, 80.0, 100.0}) {
       std::printf("%8.0f", zeta);
       double t_dp = 0.0, t_fbqs = 0.0, t_operb = 0.0;
-      for (auto algo : algos) {
+      for (const std::string& algo : algos) {
         const auto s = bench::MakePaperSimplifier(algo, zeta);
         const auto run = bench::TimeSimplifier(*s, dataset);
         const double ns_per_point = run.seconds * 1e9 / total;
         std::printf(" %11.1f", ns_per_point);
-        if (algo == baselines::Algorithm::kDP) t_dp = ns_per_point;
-        if (algo == baselines::Algorithm::kFBQS) t_fbqs = ns_per_point;
-        if (algo == baselines::Algorithm::kOPERB) t_operb = ns_per_point;
+        if (algo == "DP") t_dp = ns_per_point;
+        if (algo == "FBQS") t_fbqs = ns_per_point;
+        if (algo == "OPERB") t_operb = ns_per_point;
       }
       std::printf(" %10.1fx %10.1fx\n", t_dp / t_operb, t_fbqs / t_operb);
       sum_dp_ratio += t_dp / t_operb;

@@ -15,18 +15,16 @@ int main(int argc, char** argv) {
       "Raw-OPERB ~80-100% of OPERB's time; Raw-OPERB-A ~90-102% of "
       "OPERB-A's — optimizations have limited efficiency impact");
 
-  const std::vector<baselines::Algorithm> algos{
-      baselines::Algorithm::kRawOPERB, baselines::Algorithm::kOPERB,
-      baselines::Algorithm::kRawOPERBA, baselines::Algorithm::kOPERBA};
+  const std::vector<std::string> algos{"Raw-OPERB", "OPERB", "Raw-OPERB-A",
+                                       "OPERB-A"};
 
   for (auto kind : datagen::AllDatasetKinds()) {
     const auto dataset = bench::MakeDataset(kind, 8, 8000);
     const double total = static_cast<double>(bench::TotalPoints(dataset));
     std::printf("\n[%s]\n%8s", std::string(datagen::DatasetName(kind)).c_str(),
                 "zeta_m");
-    for (auto algo : algos) {
-      std::printf(" %12s",
-                  std::string(baselines::AlgorithmName(algo)).c_str());
+    for (const std::string& algo : algos) {
+      std::printf(" %12s", algo.c_str());
     }
     std::printf(" %10s %10s\n", "raw/opt", "rawA/optA");
 

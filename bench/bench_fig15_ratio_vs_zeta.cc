@@ -17,17 +17,14 @@ int main(int argc, char** argv) {
       "ratios fall with zeta; GeoLife lowest / Taxi highest; OPERB ~ DP ~ "
       "FBQS; OPERB-A best on all datasets");
 
-  const std::vector<baselines::Algorithm> algos{
-      baselines::Algorithm::kDP, baselines::Algorithm::kFBQS,
-      baselines::Algorithm::kOPERB, baselines::Algorithm::kOPERBA};
+  const std::vector<std::string> algos{"DP", "FBQS", "OPERB", "OPERB-A"};
 
   for (auto kind : datagen::AllDatasetKinds()) {
     const auto dataset = bench::MakeDataset(kind, 8, 8000);
     std::printf("\n[%s] compression ratio %%\n%8s",
                 std::string(datagen::DatasetName(kind)).c_str(), "zeta_m");
-    for (auto algo : algos) {
-      std::printf(" %11s",
-                  std::string(baselines::AlgorithmName(algo)).c_str());
+    for (const std::string& algo : algos) {
+      std::printf(" %11s", algo.c_str());
     }
     std::printf(" %12s %12s\n", "OPERB/FBQS", "OPERB-A/DP");
 
@@ -36,17 +33,19 @@ int main(int argc, char** argv) {
     for (double zeta : {5.0, 10.0, 20.0, 40.0, 60.0, 80.0, 100.0}) {
       std::printf("%8.0f", zeta);
       double r_dp = 0, r_fbqs = 0, r_operb = 0, r_operba = 0;
-      for (auto algo : algos) {
+      for (const std::string& algo : algos) {
         const auto s = bench::MakePaperSimplifier(algo, zeta);
         std::vector<traj::PiecewiseRepresentation> reps;
-        for (const auto& t : dataset) reps.push_back(s->Simplify(t));
+        for (const auto& t : dataset) {
+          reps.push_back(baselines::SimplifyAll(*s, t.points()));
+        }
         const double ratio =
             eval::AggregateCompressionRatio(dataset, reps) * 100.0;
         std::printf(" %11.2f", ratio);
-        if (algo == baselines::Algorithm::kDP) r_dp = ratio;
-        if (algo == baselines::Algorithm::kFBQS) r_fbqs = ratio;
-        if (algo == baselines::Algorithm::kOPERB) r_operb = ratio;
-        if (algo == baselines::Algorithm::kOPERBA) r_operba = ratio;
+        if (algo == "DP") r_dp = ratio;
+        if (algo == "FBQS") r_fbqs = ratio;
+        if (algo == "OPERB") r_operb = ratio;
+        if (algo == "OPERB-A") r_operba = ratio;
       }
       std::printf(" %11.1f%% %11.1f%%\n", 100.0 * r_operb / r_fbqs,
                   100.0 * r_operba / r_dp);

@@ -21,9 +21,7 @@ int main(int argc, char** argv) {
       "1-point segments, mostly eliminated by OPERB-A");
 
   const double zeta = 40.0;
-  const std::vector<baselines::Algorithm> algos{
-      baselines::Algorithm::kDP, baselines::Algorithm::kFBQS,
-      baselines::Algorithm::kOPERB, baselines::Algorithm::kOPERBA};
+  const std::vector<std::string> algos{"DP", "FBQS", "OPERB", "OPERB-A"};
 
   // Buckets of k as the paper plots them (log-ish).
   const std::vector<std::pair<std::size_t, std::size_t>> buckets{
@@ -47,10 +45,12 @@ int main(int argc, char** argv) {
       std::printf(" %9s", label);
     }
     std::printf("\n");
-    for (auto algo : algos) {
+    for (const std::string& algo : algos) {
       const auto s = bench::MakePaperSimplifier(algo, zeta);
       std::vector<traj::PiecewiseRepresentation> reps;
-      for (const auto& t : dataset) reps.push_back(s->Simplify(t));
+      for (const auto& t : dataset) {
+        reps.push_back(baselines::SimplifyAll(*s, t.points()));
+      }
       const auto z = eval::SegmentSizeDistribution(reps);
       std::printf("%12s", std::string(s->name()).c_str());
       for (const auto& [lo, hi] : buckets) {

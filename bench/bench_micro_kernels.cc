@@ -6,8 +6,11 @@
 #include <benchmark/benchmark.h>
 
 #include <span>
+#include <string>
+#include <vector>
 
-#include "baselines/simplifier.h"
+#include "api/registry.h"
+#include "baselines/streaming.h"
 #include "core/fitting.h"
 #include "core/operb.h"
 #include "core/operb_a.h"
@@ -229,19 +232,26 @@ void BM_OperbAStreamPush(benchmark::State& state) {
 }
 BENCHMARK(BM_OperbAStreamPush);
 
+/// Argument: index into the registry's canonical names (the 10 built-ins).
 void BM_Simplifier(benchmark::State& state) {
-  const auto algo = static_cast<baselines::Algorithm>(state.range(0));
+  const std::vector<std::string> names =
+      api::AlgorithmRegistry::Global().Names();
+  const std::string& name = names[static_cast<std::size_t>(state.range(0))];
   const auto t = BenchTrajectory(20000);
-  const auto s = baselines::MakeSimplifier(algo, 40.0);
-  state.SetLabel(std::string(s->name()));
+  auto made = api::AlgorithmRegistry::Global().MakeStreaming(name + ":zeta=40");
+  if (!made.ok()) {
+    state.SkipWithError(made.status().ToString().c_str());
+    return;
+  }
+  baselines::StreamingSimplifier& s = **made;
+  state.SetLabel(name);
   for (auto _ : state) {
-    const auto rep = s->Simplify(t);
+    const auto rep = baselines::SimplifyAll(s, t.points());
     benchmark::DoNotOptimize(rep.size());
   }
   state.SetItemsProcessed(state.iterations() * t.size());
 }
-BENCHMARK(BM_Simplifier)
-    ->DenseRange(0, static_cast<int>(baselines::Algorithm::kOPERBA), 1);
+BENCHMARK(BM_Simplifier)->DenseRange(0, 9, 1);
 
 }  // namespace
 

@@ -16,13 +16,14 @@
 //   concurrent_streams — the sharded StreamEngine on a round-robin
 //                        interleaved fleet feed: points/sec vs worker
 //                        thread count at 10k and 100k live objects
-//   facade_overhead    — the same steady-state sink loop with the
-//                        simplifier constructed via the enum compat
-//                        factory vs via an api::AlgorithmRegistry spec
+//   facade_overhead    — the same steady-state sink loop on a directly
+//                        built core::OperbStream vs on the
+//                        api::AlgorithmRegistry product of a spec
 //                        string; the run FAILS if the facade path is
 //                        measurably slower (construction happens once,
-//                        outside the loop — the products are identical
-//                        objects, so any steady-state gap is a bug)
+//                        outside the loop, and the product wraps the
+//                        same stream behind one virtual call per span,
+//                        so any steady-state gap is a bug)
 //   metrics_overhead   — the same steady-state sink loop plain vs
 //                        instrumented the way the engine batches its
 //                        obs updates (per ~64-point Counter::Add +
@@ -277,21 +278,22 @@ int main(int argc, char** argv) {
       spec.algorithm = name;
       spec.zeta = kZeta;
       spec.fidelity = baselines::OperbFidelity::kPaperFaithful;
-      auto made = api::AlgorithmRegistry::Global().MakeBatch(spec);
+      auto made = api::AlgorithmRegistry::Global().MakeStreaming(spec);
       if (!made.ok()) {
         std::fprintf(stderr, "bench_throughput: %s\n",
                      made.status().ToString().c_str());
         return 1;
       }
-      const auto simplifier = std::move(made).value();
+      baselines::StreamingSimplifier& simplifier = **made;
       std::size_t segments = 0;
+      simplifier.SetSink(
+          [&segments](const traj::RepresentedSegment&) { ++segments; });
       const Timing tm = TimeLoop([&] {
         segments = 0;
         for (const traj::Trajectory& t : dataset) {
-          simplifier->SimplifyToSink(
-              t, [&segments](const traj::RepresentedSegment&) {
-                ++segments;
-              });
+          simplifier.Push(std::span<const geo::Point>(t.points()));
+          simplifier.Finish();
+          simplifier.Reset();
         }
       });
       JsonRecord rec;
@@ -453,13 +455,13 @@ int main(int argc, char** argv) {
     // (the paper-faithful heuristics can exceed zeta; see DESIGN.md).
     api::SimplifierSpec e2e_spec;
     e2e_spec.zeta = kZeta;
-    auto e2e_made = api::AlgorithmRegistry::Global().MakeBatch(e2e_spec);
+    auto e2e_made = api::AlgorithmRegistry::Global().MakeStreaming(e2e_spec);
     if (!e2e_made.ok()) {
       std::fprintf(stderr, "bench_throughput: %s\n",
                    e2e_made.status().ToString().c_str());
       return 1;
     }
-    const auto simplifier = std::move(e2e_made).value();
+    baselines::StreamingSimplifier& simplifier = **e2e_made;
     bool bounded = true;
     const Timing tm = TimeLoop([&] {
       auto parsed = traj::ParseCsv(csv);
@@ -467,10 +469,8 @@ int main(int argc, char** argv) {
         bounded = false;
         return;
       }
-      traj::PiecewiseRepresentation rep;
-      simplifier->SimplifyToSink(
-          parsed.value(),
-          [&rep](const traj::RepresentedSegment& s) { rep.Append(s); });
+      const traj::PiecewiseRepresentation rep =
+          baselines::SimplifyAll(simplifier, parsed.value().points());
       bounded = eval::VerifyErrorBound(parsed.value(), rep, kZeta, 1e-9)
                     .bounded;
     });
@@ -559,34 +559,44 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------------------------
-  // Facade overhead: the registry/spec construction path must add zero
-  // steady-state cost over the legacy enum factory. Both factories hand
-  // out the same concrete object, so the two timed loops run identical
-  // code; the tolerance below only absorbs scheduling noise. A real
-  // regression here means the facade leaked into the per-point path.
+  // Facade overhead: the registry product must add zero steady-state
+  // cost over the core::OperbStream it wraps. Both loops run the same
+  // stream code, the product adding one virtual call per span; the
+  // tolerance below only absorbs scheduling noise. A real regression here
+  // means the facade leaked into the per-point path.
   // ------------------------------------------------------------------
   std::vector<JsonRecord> facade;
   {
     const auto dataset = bench::MakeDataset(datagen::DatasetKind::kSerCar, 2,
                                             smoke ? 400 : 100000);
     const std::size_t total = bench::TotalPoints(dataset);
-    const auto direct = bench::MakePaperSimplifier(
-        baselines::Algorithm::kOPERB, kZeta);
-    auto via_registry = api::AlgorithmRegistry::Global().MakeBatch(
+    // The paper-faithful OPERB configuration the spec below names.
+    core::OperbOptions direct_options = core::OperbOptions::Optimized(kZeta);
+    direct_options.strict_bound_guard = false;
+    core::OperbStream direct(direct_options);
+    auto via_registry = api::AlgorithmRegistry::Global().MakeStreaming(
         "OPERB:zeta=40,fidelity=paper");
     if (!via_registry.ok()) {
       std::fprintf(stderr, "bench_throughput: %s\n",
                    via_registry.status().ToString().c_str());
       return 1;
     }
-    const auto run_sink_loop = [&dataset](const baselines::Simplifier& s) {
+    baselines::StreamingSimplifier& product = **via_registry;
+    std::size_t segments = 0;
+    const auto count = [&segments](const traj::RepresentedSegment&) {
+      ++segments;
+    };
+    direct.SetSink(count);
+    product.SetSink(count);
+    // The same loop over either stream type: static dispatch for the
+    // direct stream, virtual for the registry product.
+    const auto run_sink_loop = [&dataset, &segments](auto& stream) {
       return TimeLoop([&] {
-        std::size_t segments = 0;
+        segments = 0;
         for (const traj::Trajectory& t : dataset) {
-          s.SimplifyToSink(t,
-                           [&segments](const traj::RepresentedSegment&) {
-                             ++segments;
-                           });
+          stream.Push(std::span<const geo::Point>(t.points()));
+          stream.Finish();
+          stream.Reset();
         }
       });
     };
@@ -595,9 +605,8 @@ int main(int argc, char** argv) {
     double direct_s = 1e99;
     double facade_s = 1e99;
     for (int round = 0; round < 3; ++round) {
-      direct_s = std::min(direct_s, run_sink_loop(*direct).seconds_per_pass);
-      facade_s =
-          std::min(facade_s, run_sink_loop(**via_registry).seconds_per_pass);
+      direct_s = std::min(direct_s, run_sink_loop(direct).seconds_per_pass);
+      facade_s = std::min(facade_s, run_sink_loop(product).seconds_per_pass);
     }
     const double overhead_pct = 100.0 * (facade_s / direct_s - 1.0);
     JsonRecord rec;
@@ -638,16 +647,17 @@ int main(int argc, char** argv) {
     const auto dataset = bench::MakeDataset(datagen::DatasetKind::kSerCar, 2,
                                             smoke ? 400 : 100000);
     const std::size_t total = bench::TotalPoints(dataset);
-    const auto simplifier = bench::MakePaperSimplifier(
-        baselines::Algorithm::kOPERB, kZeta);
+    const auto simplifier = bench::MakePaperSimplifier("OPERB", kZeta);
+    std::size_t segments = 0;
+    simplifier->SetSink(
+        [&segments](const traj::RepresentedSegment&) { ++segments; });
     const auto run_plain = [&] {
       return TimeLoop([&] {
-        std::size_t segments = 0;
+        segments = 0;
         for (const traj::Trajectory& t : dataset) {
-          simplifier->SimplifyToSink(
-              t, [&segments](const traj::RepresentedSegment&) {
-                ++segments;
-              });
+          simplifier->Push(std::span<const geo::Point>(t.points()));
+          simplifier->Finish();
+          simplifier->Reset();
         }
       });
     };
@@ -663,21 +673,20 @@ int main(int argc, char** argv) {
     const auto run_instrumented = [&] {
       return TimeLoop([&] {
         const std::int64_t start_ns = NowNanos();
-        std::size_t segments = 0;
+        segments = 0;
         for (const traj::Trajectory& t : dataset) {
           std::size_t since_batch = 0;
           for (std::size_t i = 0; i < t.size(); i += kStride) {
             const std::size_t take = std::min(kStride, t.size() - i);
-            // SimplifyToSink is whole-trajectory; feed the instruments
+            // The span run is whole-trajectory; feed the instruments
             // at the same stride the engine's FlushShard batches them.
             since_batch += take;
             points_ctr->Add(take);
             occupancy->Observe(static_cast<std::int64_t>(since_batch));
           }
-          simplifier->SimplifyToSink(
-              t, [&segments](const traj::RepresentedSegment&) {
-                ++segments;
-              });
+          simplifier->Push(std::span<const geo::Point>(t.points()));
+          simplifier->Finish();
+          simplifier->Reset();
         }
         segments_ctr->Add(segments);
         pass_ns->Record(static_cast<std::uint64_t>(NowNanos() - start_ns));

@@ -3,11 +3,16 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
-#include "baselines/simplifier.h"
+#include "api/registry.h"
+#include "api/spec.h"
+#include "baselines/streaming.h"
 #include "common/stopwatch.h"
 #include "datagen/profiles.h"
 #include "traj/piecewise.h"
@@ -68,7 +73,7 @@ struct TimedRun {
   std::vector<traj::PiecewiseRepresentation> representations;
 };
 
-inline TimedRun TimeSimplifier(const baselines::Simplifier& simplifier,
+inline TimedRun TimeSimplifier(baselines::StreamingSimplifier& simplifier,
                                const std::vector<traj::Trajectory>& dataset,
                                double min_millis = -1.0) {
   if (min_millis < 0.0) min_millis = SmokeMode() ? 0.0 : 80.0;
@@ -79,7 +84,8 @@ inline TimedRun TimeSimplifier(const baselines::Simplifier& simplifier,
     run.representations.clear();
     run.representations.reserve(dataset.size());
     for (const traj::Trajectory& t : dataset) {
-      run.representations.push_back(simplifier.Simplify(t));
+      run.representations.push_back(
+          baselines::SimplifyAll(simplifier, t.points()));
     }
     ++passes;
   } while (watch.ElapsedMillis() < min_millis);
@@ -89,11 +95,21 @@ inline TimedRun TimeSimplifier(const baselines::Simplifier& simplifier,
 
 /// Figure benches reproduce the paper's configuration: OPERB/OPERB-A with
 /// the heuristics verbatim (no strict-bound guard). The ablation bench
-/// quantifies the guarded default separately.
-inline std::unique_ptr<baselines::Simplifier> MakePaperSimplifier(
-    baselines::Algorithm algorithm, double zeta) {
-  return baselines::MakeSimplifier(algorithm, zeta,
-                                   baselines::OperbFidelity::kPaperFaithful);
+/// quantifies the guarded default separately. `algorithm` is a registered
+/// name; the figure benches pass literals, so a miss is a bench bug and
+/// exits.
+inline std::unique_ptr<baselines::StreamingSimplifier> MakePaperSimplifier(
+    std::string_view algorithm, double zeta) {
+  api::SimplifierSpec spec;
+  spec.algorithm = std::string(algorithm);
+  spec.zeta = zeta;
+  spec.fidelity = baselines::OperbFidelity::kPaperFaithful;
+  auto made = api::AlgorithmRegistry::Global().MakeStreaming(spec);
+  if (!made.ok()) {
+    std::fprintf(stderr, "bench: %s\n", made.status().ToString().c_str());
+    std::exit(2);
+  }
+  return std::move(made).value();
 }
 
 /// Total number of points across a dataset.

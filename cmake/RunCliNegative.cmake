@@ -1,12 +1,13 @@
 # Negative-path smoke test for operb_cli, run via `cmake -P` from ctest.
-# Expects -DOPERB_CLI=<path to binary>.
+# Expects -DOPERB_CLI=<path to binary> and -DWORK_DIR=<scratch dir>.
 #
 # Every malformed invocation must exit with the documented usage code (2),
 # print a one-line diagnostic on stderr, and never reach a CHECK abort
 # (which would exit 134/SIGABRT and print "OPERB_CHECK failed").
 
-if(NOT OPERB_CLI)
-  message(FATAL_ERROR "usage: cmake -DOPERB_CLI=... -P RunCliNegative.cmake")
+if(NOT OPERB_CLI OR NOT WORK_DIR)
+  message(FATAL_ERROR
+    "usage: cmake -DOPERB_CLI=... -DWORK_DIR=... -P RunCliNegative.cmake")
 endif()
 
 # Each case: a label, then the space-separated argument list (no argument
@@ -115,6 +116,32 @@ foreach(flag
     message(FATAL_ERROR "--help does not name ${flag}\n${stdout}")
   endif()
 endforeach()
+
+# --store-out onto an existing regular file is refused and leaves the
+# file byte-for-byte intact (a store is a directory; a mistyped output
+# path must not cost the user their data).
+file(MAKE_DIRECTORY "${WORK_DIR}")
+set(keep "${WORK_DIR}/keep.csv")
+file(WRITE "${keep}" "data\n")
+execute_process(
+  COMMAND "${OPERB_CLI}" --generate Taxi:100 --store-out "${keep}"
+  RESULT_VARIABLE result
+  OUTPUT_VARIABLE stdout
+  ERROR_VARIABLE stderr)
+if(result EQUAL 0)
+  message(FATAL_ERROR "store_out_over_file: expected a non-zero exit\n"
+                      "stdout: ${stdout}\nstderr: ${stderr}")
+endif()
+if(IS_DIRECTORY "${keep}")
+  message(FATAL_ERROR "store_out_over_file: ${keep} was replaced by a store")
+endif()
+file(READ "${keep}" kept)
+if(NOT kept STREQUAL "data\n")
+  message(FATAL_ERROR "store_out_over_file: ${keep} changed: '${kept}'")
+endif()
+if(stderr MATCHES "OPERB_CHECK")
+  message(FATAL_ERROR "store_out_over_file: reached a CHECK abort\n${stderr}")
+endif()
 
 # Sanity: a *valid* spec still succeeds, so the harness above is not
 # passing because everything fails.

@@ -10,7 +10,9 @@
 #include <string>
 #include <vector>
 
-#include "baselines/simplifier.h"
+#include "api/registry.h"
+#include "api/spec.h"
+#include "baselines/streaming.h"
 #include "common/stopwatch.h"
 #include "datagen/profiles.h"
 #include "eval/metrics.h"
@@ -47,13 +49,22 @@ int main(int argc, char** argv) {
 
   std::printf("%-12s %10s %10s %10s %10s %8s\n", "algorithm", "time_ms",
               "ratio_%", "avg_err_m", "max_err_m", "bounded");
-  for (baselines::Algorithm algo : baselines::AllAlgorithms()) {
-    const auto simplifier = baselines::MakeSimplifier(algo, zeta);
+  const api::AlgorithmRegistry& registry = api::AlgorithmRegistry::Global();
+  for (const std::string& name : registry.Names()) {
+    api::SimplifierSpec simplifier_spec;
+    simplifier_spec.algorithm = name;
+    simplifier_spec.zeta = zeta;
+    auto made = registry.MakeStreaming(simplifier_spec);
+    if (!made.ok()) {
+      std::fprintf(stderr, "%s\n", made.status().ToString().c_str());
+      return 2;
+    }
+    baselines::StreamingSimplifier& simplifier = **made;
     std::vector<traj::PiecewiseRepresentation> reps;
     reps.reserve(dataset.size());
     Stopwatch watch;
     for (const traj::Trajectory& t : dataset) {
-      reps.push_back(simplifier->Simplify(t));
+      reps.push_back(baselines::SimplifyAll(simplifier, t.points()));
     }
     const double ms = watch.ElapsedMillis();
     const double ratio = eval::AggregateCompressionRatio(dataset, reps);
@@ -64,7 +75,7 @@ int main(int argc, char** argv) {
                 eval::VerifyErrorBound(dataset[i], reps[i], zeta).bounded;
     }
     std::printf("%-12s %10.1f %10.2f %10.2f %10.2f %8s\n",
-                std::string(simplifier->name()).c_str(), ms, ratio * 100.0,
+                name.c_str(), ms, ratio * 100.0,
                 err.average, err.max, bounded ? "yes" : "NO");
   }
   return 0;

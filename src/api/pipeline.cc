@@ -66,33 +66,6 @@ PipelineMetrics& GetPipelineMetrics() {
   return *m;
 }
 
-/// Routes one snapshot write through the store's Env seam with the same
-/// temp-file + rename discipline as a manifest commit or checkpoint, so
-/// FaultInjectingEnv can fail it like any other durable write.
-Status WriteSnapshotViaEnv(store::Env* env, const std::string& path,
-                           std::string_view content) {
-  const std::string tmp = path + ".tmp";
-  OPERB_ASSIGN_OR_RETURN(std::unique_ptr<store::WritableFile> file,
-                         env->NewWritableFile(tmp));
-  const std::span<const std::uint8_t> bytes(
-      reinterpret_cast<const std::uint8_t*>(content.data()), content.size());
-  const Status written = [&] {
-    OPERB_RETURN_IF_ERROR(file->Append(bytes));
-    OPERB_RETURN_IF_ERROR(file->Flush());
-    return file->Close();
-  }();
-  if (!written.ok()) {
-    (void)env->Remove(tmp);
-    return written;
-  }
-  const Status renamed = env->Rename(tmp, path);
-  if (!renamed.ok()) {
-    (void)env->Remove(tmp);
-    return renamed;
-  }
-  return Status::OK();
-}
-
 /// MetricsSnapshots-stage write. Never fatal: a failure is logged to
 /// stderr, counted (report + `pipeline.snapshot_failures`) and the run
 /// continues — losing a telemetry file must not lose the ingest.
@@ -100,8 +73,14 @@ void WriteMetricsSnapshot(const std::string& path, store::Env* env,
                           PipelineReport* report) {
   obs::AtomicWriteFn write;  // default: obs::AtomicWriteFile
   if (env != nullptr) {
+    // Through the store's Env seam, so FaultInjectingEnv can fail the
+    // snapshot like any other durable write.
     write = [env](const std::string& p, std::string_view content) {
-      return WriteSnapshotViaEnv(env, p, content);
+      return store::WriteFileAtomically(
+          env, p,
+          std::span<const std::uint8_t>(
+              reinterpret_cast<const std::uint8_t*>(content.data()),
+              content.size()));
     };
   }
   const Status s = obs::WriteSnapshotJson(path, {}, std::move(write));

@@ -1,10 +1,7 @@
 // Registration of the library's 10 built-in algorithms, one block per
-// algorithm family. This file is the single successor of the two enum
-// switches that used to live in baselines/simplifier.cc and
-// baselines/streaming.cc: each algorithm's batch and streaming factories
-// are defined side by side and configured from one shared options
-// builder, so the two paths cannot drift apart (the golden equivalence
-// suite additionally pins them to bit-identical output).
+// algorithm family. Each algorithm has exactly one factory, which builds
+// its resettable StreamingSimplifier from a SimplifierSpec; the golden
+// equivalence suite pins the products' output.
 //
 // Registration is explicit — RegisterBuiltinAlgorithms() is called from
 // AlgorithmRegistry::Global() on first use — rather than via static
@@ -27,7 +24,6 @@
 #include "baselines/bqs.h"
 #include "baselines/dp.h"
 #include "baselines/opw.h"
-#include "baselines/simplifier.h"
 #include "baselines/streaming.h"
 #include "common/check.h"
 #include "common/serial.h"
@@ -112,82 +108,7 @@ Status VerifyStateChecksum(std::span<const std::uint8_t> in,
 }
 
 // ---------------------------------------------------------------------
-// Batch adapters (uniform Simplifier over the concrete algorithms).
-// ---------------------------------------------------------------------
-
-/// Adapter for the plain function-style baselines.
-class FunctionSimplifier final : public baselines::Simplifier {
- public:
-  FunctionSimplifier(std::string_view name, FreeFunction fn, double zeta)
-      : name_(name), fn_(fn), zeta_(zeta) {}
-
-  std::string_view name() const override { return name_; }
-
-  traj::PiecewiseRepresentation Simplify(
-      const traj::Trajectory& trajectory) const override {
-    return fn_(trajectory, zeta_);
-  }
-
- private:
-  std::string_view name_;
-  FreeFunction fn_;
-  double zeta_;
-};
-
-class OperbSimplifier final : public baselines::Simplifier {
- public:
-  OperbSimplifier(std::string_view name, const core::OperbOptions& options)
-      : name_(name), options_(options) {}
-
-  std::string_view name() const override { return name_; }
-
-  traj::PiecewiseRepresentation Simplify(
-      const traj::Trajectory& trajectory) const override {
-    return core::SimplifyOperb(trajectory, options_);
-  }
-
-  void SimplifyToSink(const traj::Trajectory& trajectory,
-                      const traj::SegmentSink& sink) const override {
-    if (trajectory.size() < 2) return;
-    core::OperbStream stream(options_);
-    stream.SetSink(sink);
-    stream.Push(std::span<const geo::Point>(trajectory.points()));
-    stream.Finish();
-  }
-
- private:
-  std::string_view name_;
-  core::OperbOptions options_;
-};
-
-class OperbASimplifier final : public baselines::Simplifier {
- public:
-  OperbASimplifier(std::string_view name, const core::OperbAOptions& options)
-      : name_(name), options_(options) {}
-
-  std::string_view name() const override { return name_; }
-
-  traj::PiecewiseRepresentation Simplify(
-      const traj::Trajectory& trajectory) const override {
-    return core::SimplifyOperbA(trajectory, options_);
-  }
-
-  void SimplifyToSink(const traj::Trajectory& trajectory,
-                      const traj::SegmentSink& sink) const override {
-    if (trajectory.size() < 2) return;
-    core::OperbAStream stream(options_);
-    stream.SetSink(sink);
-    stream.Push(std::span<const geo::Point>(trajectory.points()));
-    stream.Finish();
-  }
-
- private:
-  std::string_view name_;
-  core::OperbAOptions options_;
-};
-
-// ---------------------------------------------------------------------
-// Streaming adapters (resettable per-object states for the engine).
+// Adapters (resettable per-object states) over the concrete algorithms.
 // ---------------------------------------------------------------------
 
 /// One-pass wrapper over core::OperbStream.
@@ -292,7 +213,7 @@ class BufferedStreaming final : public baselines::StreamingSimplifier {
     for (const geo::Point& p : points) buffer_.AppendUnchecked(p);
   }
   void Finish() override {
-    if (buffer_.size() < 2) return;  // matches Simplifier::Simplify
+    if (buffer_.size() < 2) return;  // fewer than two points: no segment
     for (const traj::RepresentedSegment& s : fn_(buffer_, zeta_)) {
       if (sink_) sink_(s);
     }
@@ -357,21 +278,14 @@ traj::PiecewiseRepresentation SimplifyOpwSed(const traj::Trajectory& t,
   return baselines::SimplifyOpw(t, zeta, baselines::OpwDistance::kSynchronous);
 }
 
-/// Registers one function-style batch baseline: the batch side wraps the
-/// free function directly, the streaming side buffers and runs it at
-/// Finish() — exactly the pre-registry adapter pair.
+/// Registers one function-style batch baseline: its product buffers the
+/// trajectory and runs the free function at Finish().
 void RegisterFunctionAlgorithm(AlgorithmRegistry& registry, const char* name,
                                const char* summary, FreeFunction fn) {
   AlgorithmRegistry::Entry entry;
   entry.name = name;
   entry.summary = summary;
-  entry.one_pass = false;
-  // The canonical name string in the Entry outlives every product (the
-  // registry is append-only and process-lived), so adapters can hold a
-  // view of it.
-  entry.batch = [name, fn](const SimplifierSpec& spec) {
-    return std::make_unique<FunctionSimplifier>(name, fn, spec.zeta);
-  };
+  // `name` is a string literal, so adapters can hold a view of it.
   entry.streaming = [name, fn](const SimplifierSpec& spec) {
     return std::make_unique<BufferedStreaming>(name, fn, spec.zeta);
   };
@@ -379,11 +293,10 @@ void RegisterFunctionAlgorithm(AlgorithmRegistry& registry, const char* name,
                   "builtin registration failed");
 }
 
-/// Spec -> core::OperbOptions, shared by the batch and streaming
-/// factories of both OPERB variants (this is what keeps the two paths
-/// configured identically). `optimized` selects Optimized()/Raw(); the
-/// fidelity switch only applies to the optimized variant — Raw-OPERB has
-/// no heuristics for the guard to guard (mirrors the legacy factories).
+/// Spec -> core::OperbOptions, shared by the factories and option
+/// validators of both OPERB variants. `optimized` selects
+/// Optimized()/Raw(); the fidelity switch only applies to the optimized
+/// variant — Raw-OPERB has no heuristics for the guard to guard.
 core::OperbOptions OperbOptionsFrom(const SimplifierSpec& spec,
                                     bool optimized) {
   core::OperbOptions o = optimized ? core::OperbOptions::Optimized(spec.zeta)
@@ -413,12 +326,7 @@ void RegisterOperbVariant(AlgorithmRegistry& registry, const char* name,
   AlgorithmRegistry::Entry entry;
   entry.name = name;
   entry.summary = summary;
-  entry.one_pass = true;
   entry.option_keys = {"step_length", "activation_slack"};
-  entry.batch = [name, optimized](const SimplifierSpec& spec) {
-    return std::make_unique<OperbSimplifier>(name,
-                                             OperbOptionsFrom(spec, optimized));
-  };
   entry.streaming = [name, optimized](const SimplifierSpec& spec) {
     return std::make_unique<OperbStreaming>(name,
                                             OperbOptionsFrom(spec, optimized));
@@ -435,13 +343,8 @@ void RegisterOperbAVariant(AlgorithmRegistry& registry, const char* name,
   AlgorithmRegistry::Entry entry;
   entry.name = name;
   entry.summary = summary;
-  entry.one_pass = true;
   entry.option_keys = {"step_length", "activation_slack", "gamma_m",
                        "max_patch_extension"};
-  entry.batch = [name, optimized](const SimplifierSpec& spec) {
-    return std::make_unique<OperbASimplifier>(
-        name, OperbAOptionsFrom(spec, optimized));
-  };
   entry.streaming = [name, optimized](const SimplifierSpec& spec) {
     return std::make_unique<OperbAStreaming>(
         name, OperbAOptionsFrom(spec, optimized));
@@ -456,8 +359,8 @@ void RegisterOperbAVariant(AlgorithmRegistry& registry, const char* name,
 }  // namespace
 
 void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry) {
-  // Registration order == baselines::AllAlgorithms() == the order the
-  // paper's figures list the algorithms.
+  // Registration order == Names() == the order the paper's figures list
+  // the algorithms.
   RegisterFunctionAlgorithm(registry, "DP",
                             "batch Douglas-Peucker, Euclidean distance",
                             &baselines::SimplifyDp);

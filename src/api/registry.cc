@@ -37,10 +37,9 @@ Status AlgorithmRegistry::Register(Entry entry) {
   if (entry.name.empty()) {
     return Status::InvalidArgument("algorithm name must not be empty");
   }
-  if (!entry.batch || !entry.streaming) {
-    return Status::InvalidArgument(
-        "algorithm '" + entry.name +
-        "' must provide both a batch and a streaming factory");
+  if (!entry.streaming) {
+    return Status::InvalidArgument("algorithm '" + entry.name +
+                                   "' must provide a streaming factory");
   }
   const std::lock_guard<std::mutex> lock(mu_);
   const std::string folded = FoldName(entry.name);
@@ -118,32 +117,16 @@ Status AlgorithmRegistry::Validate(const SimplifierSpec& spec) const {
   return Status::OK();
 }
 
-Result<std::unique_ptr<baselines::Simplifier>> AlgorithmRegistry::MakeBatch(
-    const SimplifierSpec& spec) const {
-  OPERB_RETURN_IF_ERROR(Validate(spec));
-  const Entry* entry = Find(spec.algorithm);
-  std::unique_ptr<baselines::Simplifier> made = entry->batch(spec);
-  // A registered factory returning null on a validated spec is a broken
-  // registration, not bad input.
-  OPERB_CHECK_MSG(made != nullptr, "batch factory returned null");
-  return made;
-}
-
 Result<std::unique_ptr<baselines::StreamingSimplifier>>
 AlgorithmRegistry::MakeStreaming(const SimplifierSpec& spec) const {
   OPERB_RETURN_IF_ERROR(Validate(spec));
   const Entry* entry = Find(spec.algorithm);
   std::unique_ptr<baselines::StreamingSimplifier> made =
       entry->streaming(spec);
+  // A registered factory returning null on a validated spec is a broken
+  // registration, not bad input.
   OPERB_CHECK_MSG(made != nullptr, "streaming factory returned null");
   return made;
-}
-
-Result<std::unique_ptr<baselines::Simplifier>> AlgorithmRegistry::MakeBatch(
-    std::string_view spec_string) const {
-  OPERB_ASSIGN_OR_RETURN(const SimplifierSpec spec,
-                         SimplifierSpec::Parse(spec_string));
-  return MakeBatch(spec);
 }
 
 Result<std::unique_ptr<baselines::StreamingSimplifier>>

@@ -3,7 +3,7 @@
 
 /// \file
 /// String-keyed catalog of every simplification algorithm the library
-/// can construct (batch + streaming factories per entry).
+/// can construct — the only way to build a simplifier.
 
 #include <functional>
 #include <memory>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "api/spec.h"
-#include "baselines/simplifier.h"
 #include "baselines/streaming.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -22,14 +21,13 @@ namespace operb::api {
 
 /// String-keyed catalog of every simplification algorithm the library can
 /// construct — the single construction surface behind the Pipeline
-/// facade, engine::StreamEngine, operb_cli and the legacy enum factories
-/// (baselines::MakeSimplifier / MakeStreamingSimplifier are thin wrappers
-/// over this registry; see src/api/compat.cc).
+/// facade, engine::StreamEngine, operb_cli, operb_server, the benches and
+/// the tests.
 ///
-/// Each entry owns a *batch* factory (a baselines::Simplifier) and a
-/// *streaming* factory (a resettable baselines::StreamingSimplifier) that
-/// are configured from the same SimplifierSpec and produce bit-identical
-/// segment sequences — the equivalence the golden suite pins down.
+/// Each entry owns one factory, which builds a resettable
+/// baselines::StreamingSimplifier from a SimplifierSpec. A
+/// whole-trajectory run is that product fed one span
+/// (baselines::SimplifyAll); the golden suite pins its output.
 ///
 /// Lookup is case-insensitive and treats '-' and '_' as the same
 /// character, so "operb-a", "OPERB_A" and the canonical "OPERB-A" all
@@ -49,8 +47,6 @@ namespace operb::api {
 /// runtime via Register(); registration is append-only and thread-safe.
 class AlgorithmRegistry {
  public:
-  using BatchFactory = std::function<std::unique_ptr<baselines::Simplifier>(
-      const SimplifierSpec&)>;
   using StreamingFactory =
       std::function<std::unique_ptr<baselines::StreamingSimplifier>(
           const SimplifierSpec&)>;
@@ -63,14 +59,9 @@ class AlgorithmRegistry {
     std::string name;
     /// One-line description for --help / docs.
     std::string summary;
-    /// True for O(1)-state one-pass algorithms (OPERB family): the
-    /// streaming factory's product neither buffers nor allocates per
-    /// point. Capacity planning in the engine keys off this.
-    bool one_pass = false;
     /// Algorithm-specific option keys accepted in a spec (beyond the
     /// universal zeta/fidelity). Anything else is InvalidArgument.
     std::vector<std::string> option_keys;
-    BatchFactory batch;
     StreamingFactory streaming;
     /// Optional extra validation; may be empty.
     OptionValidator validate_options;
@@ -85,7 +76,7 @@ class AlgorithmRegistry {
   /// The process-wide registry, with the built-in algorithms registered.
   static AlgorithmRegistry& Global();
 
-  /// Adds an algorithm. InvalidArgument on an empty name or missing
+  /// Adds an algorithm. InvalidArgument on an empty name or a missing
   /// factory; AlreadyExists-like Corruption is not used — a duplicate
   /// (after folding) is InvalidArgument.
   Status Register(Entry entry);
@@ -103,18 +94,12 @@ class AlgorithmRegistry {
   /// ranges.
   Status Validate(const SimplifierSpec& spec) const;
 
-  /// Constructs the batch / streaming simplifier described by `spec`.
-  /// Validates first; the two factories configured from the same spec
-  /// emit bit-identical segments.
-  Result<std::unique_ptr<baselines::Simplifier>> MakeBatch(
-      const SimplifierSpec& spec) const;
+  /// Constructs the simplifier described by `spec`. Validates first.
   Result<std::unique_ptr<baselines::StreamingSimplifier>> MakeStreaming(
       const SimplifierSpec& spec) const;
 
-  /// Convenience: Parse + MakeBatch/MakeStreaming in one step, for
-  /// callers holding a spec string ("operb:zeta=5,fidelity=paper").
-  Result<std::unique_ptr<baselines::Simplifier>> MakeBatch(
-      std::string_view spec_string) const;
+  /// Convenience: Parse + MakeStreaming in one step, for callers holding
+  /// a spec string ("operb:zeta=5,fidelity=paper").
   Result<std::unique_ptr<baselines::StreamingSimplifier>> MakeStreaming(
       std::string_view spec_string) const;
 
@@ -126,8 +111,8 @@ class AlgorithmRegistry {
 
 /// Registers the library's 10 built-in algorithms (implemented in
 /// src/api/register_algorithms.cc, one registration block per algorithm
-/// family, collapsing the pre-registry enum switches). Called by
-/// Global(); exposed so tests can populate a private registry.
+/// family). Called by Global(); exposed so tests can populate a private
+/// registry.
 void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry);
 
 }  // namespace operb::api

@@ -145,13 +145,4 @@ bool SimplifierSpec::HasOption(std::string_view key) const {
                      [key](const auto& kv) { return kv.first == key; });
 }
 
-SimplifierSpec SpecFor(baselines::Algorithm algorithm, double zeta,
-                       baselines::OperbFidelity fidelity) {
-  SimplifierSpec spec;
-  spec.algorithm = std::string(baselines::AlgorithmName(algorithm));
-  spec.zeta = zeta;
-  spec.fidelity = fidelity;
-  return spec;
-}
-
 }  // namespace operb::api

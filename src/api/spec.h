@@ -10,7 +10,7 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/simplifier.h"
+#include "baselines/streaming.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -82,14 +82,6 @@ struct SimplifierSpec {
 
   bool operator==(const SimplifierSpec&) const = default;
 };
-
-/// The spec equivalent of the legacy enum triple — what the compat
-/// factories MakeSimplifier/MakeStreamingSimplifier build internally.
-/// Guaranteed to Validate() for every baselines::Algorithm value and any
-/// positive finite zeta.
-SimplifierSpec SpecFor(
-    baselines::Algorithm algorithm, double zeta,
-    baselines::OperbFidelity fidelity = baselines::OperbFidelity::kGuarded);
 
 }  // namespace operb::api
 

@@ -3,29 +3,42 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
 
-#include "baselines/simplifier.h"
 #include "common/status.h"
 #include "geo/point.h"
 #include "traj/piecewise.h"
 
 namespace operb::baselines {
 
-/// Incremental counterpart of Simplifier: points go in one at a time,
-/// segments come out through a sink. This is the per-object state the
-/// sharded StreamEngine keeps resident for every live trajectory.
+/// How the OPERB-family simplifiers treat the heuristic optimizations'
+/// error bound (see core::OperbOptions::strict_bound_guard):
+///  - kGuarded (library default): the O(1) drift guard enforces a hard
+///    zeta guarantee, at a small compression cost;
+///  - kPaperFaithful: the paper's heuristics verbatim — what the paper's
+///    figures measured. Bounded in practice on GPS-like data, but without
+///    a worst-case guarantee.
+/// Non-OPERB algorithms are unaffected.
+enum class OperbFidelity { kGuarded, kPaperFaithful };
+
+/// The one simplifier interface of this library, for the paper's
+/// algorithms and every baseline alike: points go in one at a time,
+/// segments come out through a sink. OPERB and OPERB-A look at each point
+/// once, so this state *is* the algorithm; a whole-trajectory run is the
+/// same state fed one span (SimplifyAll below). It is also the per-object
+/// state the sharded StreamEngine keeps resident for every live
+/// trajectory. Instances are built by api::AlgorithmRegistry::
+/// MakeStreaming from a SimplifierSpec.
 ///
 /// Contract (all implementations):
-///  - SetSink() installs the emission callback; call it once, before the
-///    first Push(). The sink survives Reset(), so a pooled state is wired
-///    up exactly once.
-///  - Push()/Finish() produce the same segment sequence as the matching
-///    Simplifier::Simplify() on the same points — bit-identical, which is
-///    what makes the engine testable against tests/golden/.
+///  - SetSink() installs the emission callback; call it before the first
+///    Push() of a trajectory. The sink survives Reset(), so a pooled state
+///    is wired up exactly once.
+///  - Push()/Finish() emit the same segment sequence however the points
+///    are split into spans — bit-identical to the fixtures under
+///    tests/golden/. Fewer than two points emit nothing.
 ///  - Reset() returns the state to "fresh trajectory" condition while
 ///    keeping its buffers' capacity, so pooled reuse performs no heap
 ///    allocation (asserted by allocation_test for the one-pass family).
@@ -46,7 +59,8 @@ class StreamingSimplifier {
   /// false for the buffering batch adapters.
   virtual bool one_pass() const = 0;
 
-  /// Installs the emission callback (once, before the first Push).
+  /// Installs the emission callback (before the first Push of a
+  /// trajectory).
   virtual void SetSink(traj::SegmentSink sink) = 0;
 
   /// Feeds the next point. Timestamps must be strictly increasing per
@@ -80,17 +94,22 @@ class StreamingSimplifier {
                              std::size_t* pos) = 0;
 };
 
-/// Creates a resettable streaming state for any algorithm, configured
-/// identically to MakeSimplifier(algorithm, zeta, fidelity) — the two
-/// factories produce bit-identical segment sequences.
-///
-/// Compatibility wrapper: like MakeSimplifier, defined in
-/// src/api/compat.cc over the AlgorithmRegistry (which hands out both
-/// factories of an algorithm from one registration, so batch and
-/// streaming configuration cannot drift apart).
-std::unique_ptr<StreamingSimplifier> MakeStreamingSimplifier(
-    Algorithm algorithm, double zeta,
-    OperbFidelity fidelity = OperbFidelity::kGuarded);
+/// Whole-trajectory run: installs a collecting sink, feeds `points` as one
+/// span, finishes, and Reset()s `simplifier` for the next trajectory.
+/// `simplifier` must be fresh (built or Reset(), nothing pushed since).
+/// The collecting sink is uninstalled again, so re-install a sink before
+/// streaming through `simplifier` by hand afterwards.
+inline traj::PiecewiseRepresentation SimplifyAll(
+    StreamingSimplifier& simplifier, std::span<const geo::Point> points) {
+  traj::PiecewiseRepresentation out;
+  simplifier.SetSink(
+      [&out](const traj::RepresentedSegment& s) { out.Append(s); });
+  simplifier.Push(points);
+  simplifier.Finish();
+  simplifier.Reset();
+  simplifier.SetSink(nullptr);
+  return out;
+}
 
 }  // namespace operb::baselines
 

@@ -668,28 +668,9 @@ Status StreamEngine::Checkpoint(const std::string& path, store::Env* env) {
   for (const auto& shard : shards_) shard->SerializeState(&buf);
   serial::PutU64(serial::Fnv1a64(buf), &buf);
 
-  // Same durability discipline as a manifest commit: fully write and
-  // flush a temp file, then rename — a crash anywhere leaves either the
-  // previous checkpoint or none, never a torn one.
-  store::Env* e = store::ResolveEnv(env);
-  const std::string tmp = path + ".tmp";
-  OPERB_ASSIGN_OR_RETURN(std::unique_ptr<store::WritableFile> file,
-                         e->NewWritableFile(tmp));
-  const Status written = [&] {
-    OPERB_RETURN_IF_ERROR(file->Append(buf));
-    OPERB_RETURN_IF_ERROR(file->Flush());
-    return file->Close();
-  }();
-  if (!written.ok()) {
-    (void)e->Remove(tmp);
-    return written;
-  }
-  const Status renamed = e->Rename(tmp, path);
-  if (!renamed.ok()) {
-    (void)e->Remove(tmp);
-    return renamed;
-  }
-  return Status::OK();
+  // Same durability discipline as a manifest commit: a crash anywhere
+  // leaves either the previous checkpoint or none, never a torn one.
+  return store::WriteFileAtomically(env, path, buf);
 }
 
 Result<std::unique_ptr<StreamEngine>> StreamEngine::CreateFromCheckpoint(

@@ -95,6 +95,30 @@ Env* Env::Default() {
   return env;
 }
 
+Status WriteFileAtomically(Env* env, const std::string& path,
+                           std::span<const std::uint8_t> data) {
+  env = ResolveEnv(env);
+  const std::string tmp = path + ".tmp";
+  OPERB_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
+                         env->NewWritableFile(tmp));
+  const Status written = [&] {
+    OPERB_RETURN_IF_ERROR(file->Append(data));
+    OPERB_RETURN_IF_ERROR(file->Flush());
+    return file->Close();
+  }();
+  if (!written.ok()) {
+    (void)env->Remove(tmp);
+    return written;
+  }
+  // The atomic commit point: readers see the old file or this one.
+  const Status renamed = env->Rename(tmp, path);
+  if (!renamed.ok()) {
+    (void)env->Remove(tmp);
+    return renamed;
+  }
+  return Status::OK();
+}
+
 // ---------------------------------------------------------------------
 // FaultInjectingEnv
 // ---------------------------------------------------------------------

@@ -62,6 +62,15 @@ class Env {
 /// Resolves the ubiquitous "nullptr means the real filesystem" default.
 inline Env* ResolveEnv(Env* env) { return env != nullptr ? env : Env::Default(); }
 
+/// Durably replaces `path` with `data`: writes and flushes `path` +
+/// ".tmp", then renames it over `path`. A crash anywhere leaves the
+/// previous file or none, never a torn one; on failure the temp file is
+/// removed (best effort). The commit discipline of MANIFEST updates,
+/// engine checkpoints and Env-routed metrics snapshots. `env` nullptr
+/// means Env::Default().
+Status WriteFileAtomically(Env* env, const std::string& path,
+                           std::span<const std::uint8_t> data);
+
 /// Deterministic fault injection: fails the Nth counted operation
 /// (create, append, flush, rename, remove — close is not counted) in a
 /// chosen way, so a test can enumerate k = 0..N-1 and assert recovery

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
-#include <memory>
 #include <string_view>
 #include <unordered_set>
 
@@ -172,30 +171,14 @@ Result<Manifest> DecodeManifest(std::span<const std::uint8_t> data) {
 Status WriteManifest(const std::string& dir, const Manifest& manifest,
                      Env* env) {
   OPERB_RETURN_IF_ERROR(manifest.Validate());
-  env = ResolveEnv(env);
   std::vector<std::uint8_t> bytes;
   EncodeManifest(manifest, &bytes);
 
+  // Goes through MANIFEST.tmp (kManifestTempFileName); the rename is the
+  // commit point: readers see the old manifest or this one.
   namespace fs = std::filesystem;
-  const std::string tmp = (fs::path(dir) / kManifestTempFileName).string();
-  const std::string final_path = (fs::path(dir) / kManifestFileName).string();
-  OPERB_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
-                         env->NewWritableFile(tmp));
-  const Status written = [&] {
-    OPERB_RETURN_IF_ERROR(file->Append(bytes));
-    OPERB_RETURN_IF_ERROR(file->Flush());
-    return file->Close();
-  }();
-  if (!written.ok()) {
-    (void)env->Remove(tmp);
-    return written;
-  }
-  // The atomic commit point: readers see the old manifest or this one.
-  const Status renamed = env->Rename(tmp, final_path);
-  if (!renamed.ok()) {
-    (void)env->Remove(tmp);
-    return renamed;
-  }
+  OPERB_RETURN_IF_ERROR(WriteFileAtomically(
+      env, (fs::path(dir) / kManifestFileName).string(), bytes));
   if constexpr (obs::kMetricsEnabled) {
     StoreWriteMetrics& m = GetStoreWriteMetrics();
     m.manifest_commits->Increment();

@@ -39,14 +39,12 @@ Result<std::unique_ptr<StoreWriter>> StoreWriter::Create(
 
   std::error_code ec;
   const fs::file_status st = fs::status(path, ec);
-  // A regular file at the path gives way, matching the old writer's
-  // truncate-on-create semantics.
-  if (!ec && fs::is_regular_file(st)) {
-    fs::remove(path, ec);
-    if (ec) {
-      return Status::IOError("cannot replace file " + path +
-                             " with a store directory");
-    }
+  // A store is a directory. Anything else at the path — a mistyped
+  // output name, a stray data file — is left alone, as
+  // StoreReader::Open does.
+  if (fs::exists(st) && !fs::is_directory(st)) {
+    return Status::IOError("cannot create store " + path +
+                           ": a non-directory file is in the way");
   }
   // Throw-free status queries: `st` was taken with an error_code, and
   // fs::exists(p, ec) reports a failed stat as "absent" instead of

@@ -18,6 +18,7 @@
 #include "datagen/profiles.h"
 #include "datagen/rng.h"
 #include "obs/metrics.h"
+#include "test_util.h"
 #include "traj/trajectory.h"
 
 namespace {
@@ -189,11 +190,9 @@ TEST(AllocationTest, OperbAResetReuseIsAllocationFree) {
 /// Same through the type-erased StreamingSimplifier the engine pools.
 TEST(AllocationTest, StreamingSimplifierResetReuseIsAllocationFree) {
   const traj::Trajectory t = TestTrajectory(20000);
-  for (const baselines::Algorithm algo :
-       {baselines::Algorithm::kOPERB, baselines::Algorithm::kOPERBA,
-        baselines::Algorithm::kRawOPERB}) {
-    SCOPED_TRACE(std::string(baselines::AlgorithmName(algo)));
-    const auto stream = baselines::MakeStreamingSimplifier(algo, 40.0);
+  for (const char* algo : {"OPERB", "OPERB-A", "Raw-OPERB"}) {
+    SCOPED_TRACE(algo);
+    const auto stream = testutil::MakeStreaming(algo, 40.0);
     std::size_t segments = 0;
     stream->SetSink(
         [&segments](const traj::RepresentedSegment&) { ++segments; });
@@ -218,8 +217,7 @@ TEST(AllocationTest, StreamingSimplifierResetReuseIsAllocationFree) {
 /// stop allocating once the point buffer's capacity is warm.
 TEST(AllocationTest, BufferedStreamingReusePushIsAllocationFree) {
   const traj::Trajectory t = TestTrajectory(20000);
-  const auto stream =
-      baselines::MakeStreamingSimplifier(baselines::Algorithm::kFBQS, 40.0);
+  const auto stream = testutil::MakeStreaming("FBQS", 40.0);
   std::size_t segments = 0;
   stream->SetSink(
       [&segments](const traj::RepresentedSegment&) { ++segments; });

@@ -30,7 +30,6 @@
 #include "api/store_query.h"
 #include "obs/snapshot.h"
 #include "store/env.h"
-#include "baselines/simplifier.h"
 #include "baselines/streaming.h"
 #include "datagen/profiles.h"
 #include "engine/stream_engine.h"
@@ -93,15 +92,6 @@ TEST(SimplifierSpecTest, ToStringRoundTripsThroughParse) {
   EXPECT_EQ(reparsed->ToString(), canonical);
   EXPECT_EQ(reparsed->zeta, spec->zeta);
   EXPECT_EQ(reparsed->options, spec->options);
-}
-
-TEST(SimplifierSpecTest, SpecForMatchesEveryEnumValue) {
-  for (baselines::Algorithm algo : baselines::AllAlgorithms()) {
-    const api::SimplifierSpec spec = api::SpecFor(algo, 17.0);
-    EXPECT_TRUE(spec.Validate().ok())
-        << std::string(baselines::AlgorithmName(algo));
-    EXPECT_EQ(spec.algorithm, std::string(baselines::AlgorithmName(algo)));
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -175,19 +165,25 @@ TEST(SimplifierSpecTest, ValidateRejectsSemanticErrors) {
 TEST(AlgorithmRegistryTest, GlobalListsAllTenBuiltinsInPaperOrder) {
   const std::vector<std::string> names =
       api::AlgorithmRegistry::Global().Names();
-  std::vector<std::string> want;
-  for (baselines::Algorithm algo : baselines::AllAlgorithms()) {
-    want.emplace_back(baselines::AlgorithmName(algo));
-  }
+  const std::vector<std::string> want = {
+      "DP",        "DP-SED", "OPW",         "OPW-SED", "BQS", "FBQS",
+      "Raw-OPERB", "OPERB",  "Raw-OPERB-A", "OPERB-A"};
   EXPECT_EQ(names, want);
+  for (const std::string& name : names) {
+    EXPECT_TRUE(testutil::SpecOf(name, 17.0).Validate().ok()) << name;
+  }
 }
 
 TEST(AlgorithmRegistryTest, EntriesExposeOnePassAndSummaries) {
   const api::AlgorithmRegistry& registry = api::AlgorithmRegistry::Global();
-  EXPECT_TRUE(registry.Find("OPERB")->one_pass);
-  EXPECT_TRUE(registry.Find("Raw-OPERB-A")->one_pass);
-  EXPECT_FALSE(registry.Find("DP")->one_pass);
-  EXPECT_FALSE(registry.Find("FBQS")->one_pass);
+  const auto one_pass = [&registry](const char* name) {
+    return registry.Find(name)->streaming(testutil::SpecOf(name, 10.0))
+        ->one_pass();
+  };
+  EXPECT_TRUE(one_pass("OPERB"));
+  EXPECT_TRUE(one_pass("Raw-OPERB-A"));
+  EXPECT_FALSE(one_pass("DP"));
+  EXPECT_FALSE(one_pass("FBQS"));
   for (const std::string& name : registry.Names()) {
     EXPECT_FALSE(registry.Find(name)->summary.empty()) << name;
   }
@@ -200,40 +196,34 @@ TEST(AlgorithmRegistryTest, RejectsDuplicateAndIncompleteRegistrations) {
 
   api::AlgorithmRegistry::Entry dup;
   dup.name = "operb_a";  // folds onto the builtin OPERB-A
-  dup.batch = [](const api::SimplifierSpec&) {
-    return std::unique_ptr<baselines::Simplifier>();
-  };
   dup.streaming = [](const api::SimplifierSpec&) {
     return std::unique_ptr<baselines::StreamingSimplifier>();
   };
   EXPECT_FALSE(registry.Register(std::move(dup)).ok());
 
   api::AlgorithmRegistry::Entry incomplete;
-  incomplete.name = "half-registered";
-  incomplete.batch = [](const api::SimplifierSpec&) {
-    return std::unique_ptr<baselines::Simplifier>();
-  };
+  incomplete.name = "factory-less";
+  incomplete.summary = "no factory";
   EXPECT_FALSE(registry.Register(std::move(incomplete)).ok());
 }
 
 TEST(AlgorithmRegistryTest, MakeFromStringPropagatesParseAndLookupErrors) {
   const api::AlgorithmRegistry& registry = api::AlgorithmRegistry::Global();
-  EXPECT_FALSE(registry.MakeBatch("").ok());
-  EXPECT_FALSE(registry.MakeBatch("OPERB:zeta=2,5").ok());
+  EXPECT_FALSE(registry.MakeStreaming("").ok());
+  EXPECT_FALSE(registry.MakeStreaming("OPERB:zeta=2,5").ok());
   EXPECT_FALSE(registry.MakeStreaming("NOPE:zeta=5").ok());
   EXPECT_FALSE(registry.MakeStreaming("OPERB:zeta=-1").ok());
 }
 
-/// The tentpole acceptance check: every registered name, constructed
-/// through a spec string, reproduces the golden fixtures on both the
-/// batch and the streaming path, for all 4 profiles.
+/// Every registered name, constructed through a spec string, reproduces
+/// the golden fixtures, for all 4 profiles.
 class RegistryGoldenTest
     : public testing::TestWithParam<
-          std::tuple<baselines::Algorithm, datagen::DatasetKind>> {};
+          std::tuple<testutil::AlgorithmParam, datagen::DatasetKind>> {};
 
 TEST_P(RegistryGoldenTest, SpecStringConstructionMatchesGolden) {
-  const auto [algo, kind] = GetParam();
-  const std::string name(baselines::AlgorithmName(algo));
+  const std::string name = std::get<0>(GetParam()).name();
+  const datagen::DatasetKind kind = std::get<1>(GetParam());
   const traj::Trajectory t = GoldenTrajectory(kind);
   const std::string golden_path =
       std::string(OPERB_GOLDEN_DIR) + "/golden_" + name + "_" +
@@ -244,11 +234,6 @@ TEST_P(RegistryGoldenTest, SpecStringConstructionMatchesGolden) {
 
   const std::string spec_string = name + ":zeta=40";
   const api::AlgorithmRegistry& registry = api::AlgorithmRegistry::Global();
-
-  auto batch = registry.MakeBatch(spec_string);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ExpectSegmentsEqual((*batch)->Simplify(t).segments(), golden,
-                      "registry batch " + spec_string);
 
   auto streaming = registry.MakeStreaming(spec_string);
   ASSERT_TRUE(streaming.ok()) << streaming.status().ToString();
@@ -263,12 +248,12 @@ TEST_P(RegistryGoldenTest, SpecStringConstructionMatchesGolden) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithmsAllProfiles, RegistryGoldenTest,
-    testing::Combine(testing::ValuesIn(baselines::AllAlgorithms()),
+    testing::Combine(testing::ValuesIn(testutil::AllAlgorithmParams()),
                      testing::ValuesIn(datagen::AllDatasetKinds())),
     [](const testing::TestParamInfo<RegistryGoldenTest::ParamType>& info) {
       std::string name =
-          std::string(baselines::AlgorithmName(std::get<0>(info.param))) +
-          "_" + std::string(datagen::DatasetName(std::get<1>(info.param)));
+          std::get<0>(info.param).name() + "_" +
+          std::string(datagen::DatasetName(std::get<1>(info.param)));
       for (char& c : name) {
         if (c == '-') c = '_';
       }
@@ -331,9 +316,7 @@ TEST(PipelineTest, CsvContentIngestMatchesDirectSimplification) {
   const Result<traj::Trajectory> reparsed = traj::ParseCsv(csv);
   ASSERT_TRUE(reparsed.ok());
   const std::vector<traj::RepresentedSegment> want =
-      baselines::MakeSimplifier(baselines::Algorithm::kFBQS, 40.0)
-          ->Simplify(*reparsed)
-          .segments();
+      testutil::Simplify("FBQS", 40.0, *reparsed).segments();
   std::vector<traj::RepresentedSegment> segments;
   for (const traj::TaggedSegment& s : run->segments_out) {
     segments.push_back(s.segment);

@@ -2,15 +2,19 @@
 #include <cmath>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "api/registry.h"
 #include "baselines/bqs.h"
 #include "baselines/dp.h"
 #include "baselines/opw.h"
-#include "baselines/simplifier.h"
 #include "baselines/streaming.h"
+#include "core/operb.h"
+#include "core/operb_a.h"
+#include "core/options.h"
 #include "eval/metrics.h"
 #include "eval/verifier.h"
 #include "geo/distance.h"
@@ -225,39 +229,71 @@ TEST(BqsTest, TinyInputs) {
 // Registry / interface.
 // ---------------------------------------------------------------------------
 
+std::vector<std::string> AllNames() {
+  return api::AlgorithmRegistry::Global().Names();
+}
+
+/// The free functions each registry entry wraps, configured the way the
+/// registry configures them for the default (guarded) spec: the oracle the
+/// registry products are checked against.
+traj::PiecewiseRepresentation Oracle(std::string_view name,
+                                     const traj::Trajectory& t, double zeta) {
+  if (name == "DP") return SimplifyDp(t, zeta);
+  if (name == "DP-SED") return SimplifyDpSed(t, zeta);
+  if (name == "OPW") return SimplifyOpw(t, zeta, OpwDistance::kEuclidean);
+  if (name == "OPW-SED") return SimplifyOpw(t, zeta, OpwDistance::kSynchronous);
+  if (name == "BQS") return SimplifyBqs(t, zeta);
+  if (name == "FBQS") return SimplifyFbqs(t, zeta);
+  if (name == "Raw-OPERB") {
+    return core::SimplifyOperb(t, core::OperbOptions::Raw(zeta));
+  }
+  if (name == "OPERB") {
+    return core::SimplifyOperb(t, core::OperbOptions::Optimized(zeta));
+  }
+  if (name == "Raw-OPERB-A") {
+    return core::SimplifyOperbA(t, core::OperbAOptions::Raw(zeta));
+  }
+  if (name == "OPERB-A") {
+    return core::SimplifyOperbA(t, core::OperbAOptions::Optimized(zeta));
+  }
+  ADD_FAILURE() << "no oracle for " << name;
+  return {};
+}
+
 TEST(RegistryTest, AllAlgorithmsConstructAndName) {
-  for (Algorithm algo : AllAlgorithms()) {
-    const auto s = MakeSimplifier(algo, 25.0);
+  for (const std::string& name : AllNames()) {
+    const auto s = testutil::MakeStreaming(name, 25.0);
     ASSERT_NE(s, nullptr);
-    EXPECT_EQ(s->name(), AlgorithmName(algo));
+    EXPECT_EQ(s->name(), name);
     EXPECT_FALSE(s->name().empty());
   }
 }
 
 TEST(RegistryTest, EveryAlgorithmIsErrorBoundedOnEveryProfile) {
-  // The integration property at the heart of the paper: *all* nine
+  // The integration property at the heart of the paper: *all* ten
   // algorithms are error bounded by zeta.
   for (auto kind : datagen::AllDatasetKinds()) {
     const auto t = Generated(kind, 2000, 51);
-    for (Algorithm algo : AllAlgorithms()) {
-      const auto rep = MakeSimplifier(algo, 30.0)->Simplify(t);
+    for (const std::string& name : AllNames()) {
+      const auto rep = testutil::Simplify(name, 30.0, t);
       ASSERT_TRUE(rep.ValidateAgainst(t).ok())
-          << AlgorithmName(algo) << " on " << datagen::DatasetName(kind);
+          << name << " on " << datagen::DatasetName(kind);
       const auto verdict = eval::VerifyErrorBound(t, rep, 30.0);
       EXPECT_TRUE(verdict.bounded)
-          << AlgorithmName(algo) << " on " << datagen::DatasetName(kind)
-          << ": " << verdict.ToString();
+          << name << " on " << datagen::DatasetName(kind) << ": "
+          << verdict.ToString();
     }
   }
 }
 
 TEST(RegistryTest, OnePassAlgorithmsAreDeterministic) {
   const auto t = Generated(datagen::DatasetKind::kTruck, 2000, 61);
-  for (Algorithm algo : AllAlgorithms()) {
-    const auto s = MakeSimplifier(algo, 20.0);
-    const auto a = s->Simplify(t);
-    const auto b = s->Simplify(t);
-    ASSERT_EQ(a.size(), b.size()) << AlgorithmName(algo);
+  for (const std::string& name : AllNames()) {
+    SCOPED_TRACE(name);
+    const auto s = testutil::MakeStreaming(name, 20.0);
+    const auto a = SimplifyAll(*s, t.points());
+    const auto b = SimplifyAll(*s, t.points());
+    testutil::ExpectSegmentsEqual(b.segments(), a.segments(), "second run");
   }
 }
 
@@ -268,18 +304,16 @@ TEST(RegistryTest, OnePassAlgorithmsAreDeterministic) {
 TEST(StreamingSimplifierTest, MatchesBatchSimplifyForEveryAlgorithm) {
   const auto t = Generated(datagen::DatasetKind::kSerCar, 800, 77);
   const auto t2 = Generated(datagen::DatasetKind::kGeoLife, 500, 78);
-  for (Algorithm algo : AllAlgorithms()) {
-    SCOPED_TRACE(std::string(AlgorithmName(algo)));
-    const auto batch = MakeSimplifier(algo, 25.0);
-    const auto stream = MakeStreamingSimplifier(algo, 25.0);
-    EXPECT_EQ(stream->name(), batch->name());
+  for (const std::string& name : AllNames()) {
+    SCOPED_TRACE(name);
+    const auto stream = testutil::MakeStreaming(name, 25.0);
 
     std::vector<traj::RepresentedSegment> out;
     stream->SetSink(
         [&out](const traj::RepresentedSegment& s) { out.push_back(s); });
     for (const geo::Point& p : t) stream->Push(p);
     stream->Finish();
-    testutil::ExpectSegmentsEqual(out, batch->Simplify(t).segments(),
+    testutil::ExpectSegmentsEqual(out, Oracle(name, t, 25.0).segments(),
                                   "first run");
 
     // Reset() must make the pooled state as good as new.
@@ -287,15 +321,15 @@ TEST(StreamingSimplifierTest, MatchesBatchSimplifyForEveryAlgorithm) {
     out.clear();
     stream->Push(std::span<const geo::Point>(t2.points()));
     stream->Finish();
-    testutil::ExpectSegmentsEqual(out, batch->Simplify(t2).segments(),
+    testutil::ExpectSegmentsEqual(out, Oracle(name, t2, 25.0).segments(),
                                   "after Reset");
   }
 }
 
 TEST(StreamingSimplifierTest, TinyTrajectoriesEmitNothing) {
-  for (Algorithm algo : AllAlgorithms()) {
-    SCOPED_TRACE(std::string(AlgorithmName(algo)));
-    const auto stream = MakeStreamingSimplifier(algo, 25.0);
+  for (const std::string& name : AllNames()) {
+    SCOPED_TRACE(name);
+    const auto stream = testutil::MakeStreaming(name, 25.0);
     std::size_t segments = 0;
     stream->SetSink(
         [&segments](const traj::RepresentedSegment&) { ++segments; });
@@ -309,10 +343,10 @@ TEST(StreamingSimplifierTest, TinyTrajectoriesEmitNothing) {
 }
 
 TEST(StreamingSimplifierTest, OnePassFlagMarksTheOperbFamily) {
-  EXPECT_TRUE(MakeStreamingSimplifier(Algorithm::kOPERB, 10.0)->one_pass());
-  EXPECT_TRUE(MakeStreamingSimplifier(Algorithm::kOPERBA, 10.0)->one_pass());
-  EXPECT_FALSE(MakeStreamingSimplifier(Algorithm::kDP, 10.0)->one_pass());
-  EXPECT_FALSE(MakeStreamingSimplifier(Algorithm::kFBQS, 10.0)->one_pass());
+  EXPECT_TRUE(testutil::MakeStreaming("OPERB", 10.0)->one_pass());
+  EXPECT_TRUE(testutil::MakeStreaming("OPERB-A", 10.0)->one_pass());
+  EXPECT_FALSE(testutil::MakeStreaming("DP", 10.0)->one_pass());
+  EXPECT_FALSE(testutil::MakeStreaming("FBQS", 10.0)->one_pass());
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -24,7 +25,6 @@
 
 #include "api/registry.h"
 #include "api/spec.h"
-#include "baselines/simplifier.h"
 #include "baselines/streaming.h"
 #include "common/serial.h"
 #include "core/operb.h"
@@ -104,13 +104,10 @@ class Collector {
   std::map<traj::ObjectId, std::vector<traj::RepresentedSegment>> by_object_;
 };
 
-/// Reference output: the single-stream sink path for one trajectory.
+/// Reference output: the single-stream whole-trajectory run.
 std::vector<traj::RepresentedSegment> SingleStream(
-    baselines::Algorithm algo, const traj::Trajectory& t, double zeta) {
-  std::vector<traj::RepresentedSegment> out;
-  baselines::MakeSimplifier(algo, zeta)->SimplifyToSink(
-      t, [&out](const traj::RepresentedSegment& s) { out.push_back(s); });
-  return out;
+    std::string_view algo, const traj::Trajectory& t, double zeta) {
+  return testutil::Simplify(algo, zeta, t).segments();
 }
 
 struct EngineConfig {
@@ -129,10 +126,12 @@ const EngineConfig kConfigs[] = {
 };
 
 class EngineGoldenTest
-    : public testing::TestWithParam<std::tuple<baselines::Algorithm, int>> {};
+    : public testing::TestWithParam<
+          std::tuple<testutil::AlgorithmParam, int>> {};
 
 TEST_P(EngineGoldenTest, ShuffledInterleaveMatchesGoldenPerObject) {
-  const auto [algo, config_index] = GetParam();
+  const std::string algo = std::get<0>(GetParam()).name();
+  const int config_index = std::get<1>(GetParam());
   const EngineConfig& config = kConfigs[config_index];
 
   const std::vector<datagen::DatasetKind> kinds = datagen::AllDatasetKinds();
@@ -146,10 +145,8 @@ TEST_P(EngineGoldenTest, ShuffledInterleaveMatchesGoldenPerObject) {
 
   engine::StreamEngineOptions opts;
   // The engine is configured through the declarative spec — resolved via
-  // api::AlgorithmRegistry — and must stay bit-identical to the enum-era
-  // engine goldens (the spec is the exact equivalent of the old
-  // (Algorithm, zeta, fidelity) triple).
-  opts.spec = api::SpecFor(algo, kGoldenZeta);
+  // api::AlgorithmRegistry — and must stay bit-identical to the goldens.
+  opts.spec = testutil::SpecOf(algo, kGoldenZeta);
   opts.num_shards = config.shards;
   opts.num_threads = config.threads;
   opts.ring_capacity = config.ring_capacity;
@@ -163,8 +160,7 @@ TEST_P(EngineGoldenTest, ShuffledInterleaveMatchesGoldenPerObject) {
   ASSERT_EQ(collector.objects(), objects.size());
   for (std::size_t i = 0; i < objects.size(); ++i) {
     const std::string golden_path =
-        std::string(OPERB_GOLDEN_DIR) + "/golden_" +
-        std::string(baselines::AlgorithmName(algo)) + "_" +
+        std::string(OPERB_GOLDEN_DIR) + "/golden_" + algo + "_" +
         std::string(datagen::DatasetName(kinds[i])) + ".csv";
     const std::vector<traj::RepresentedSegment> golden =
         LoadGolden(golden_path);
@@ -183,13 +179,12 @@ TEST_P(EngineGoldenTest, ShuffledInterleaveMatchesGoldenPerObject) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithmsAllConfigs, EngineGoldenTest,
-    testing::Combine(testing::ValuesIn(baselines::AllAlgorithms()),
+    testing::Combine(testing::ValuesIn(testutil::AllAlgorithmParams()),
                      testing::Values(0, 1, 2)),
     [](const testing::TestParamInfo<EngineGoldenTest::ParamType>& info) {
       const EngineConfig& c = kConfigs[std::get<1>(info.param)];
       std::string name =
-          std::string(baselines::AlgorithmName(std::get<0>(info.param))) +
-          "_shards" + std::to_string(c.shards) + "_threads" +
+          std::get<0>(info.param).name() + "_shards" + std::to_string(c.shards) + "_threads" +
           std::to_string(c.threads);
       for (char& ch : name) {
         if (ch == '-') ch = '_';
@@ -215,9 +210,9 @@ TEST(EngineTest, ExplicitFinishFlushesOneObjectAndAllowsReuse) {
   eng.Close();
 
   std::vector<traj::RepresentedSegment> want =
-      SingleStream(baselines::Algorithm::kOPERB, t, opts.spec.zeta);
+      SingleStream("OPERB", t, opts.spec.zeta);
   const std::vector<traj::RepresentedSegment> second =
-      SingleStream(baselines::Algorithm::kOPERB, t2, opts.spec.zeta);
+      SingleStream("OPERB", t2, opts.spec.zeta);
   want.insert(want.end(), second.begin(), second.end());
   ExpectSegmentsEqual(collector.ForObject(5), want, "finish+reuse");
 
@@ -251,11 +246,11 @@ TEST(EngineTest, TickEvictsIdleObjectsAtTheWatermark) {
   eng.Close();
 
   ExpectSegmentsEqual(collector.ForObject(1),
-                      SingleStream(baselines::Algorithm::kOPERB, early,
+                      SingleStream("OPERB", early,
                                    opts.spec.zeta),
                       "early object");
   ExpectSegmentsEqual(collector.ForObject(2),
-                      SingleStream(baselines::Algorithm::kOPERB, late,
+                      SingleStream("OPERB", late,
                                    opts.spec.zeta),
                       "late object");
   const engine::StreamEngineStats& stats = eng.stats();
@@ -275,7 +270,7 @@ TEST(EngineTest, TickWithoutTimeoutIsANoOp) {
   EXPECT_EQ(eng.stats().idle_evictions, 0u);
   ExpectSegmentsEqual(
       collector.ForObject(9),
-      SingleStream(baselines::Algorithm::kOPERB, t, opts.spec.zeta), "no-op tick");
+      SingleStream("OPERB", t, opts.spec.zeta), "no-op tick");
 }
 
 TEST(EngineTest, TinyRingBackpressureKeepsOutputIdentical) {
@@ -292,7 +287,7 @@ TEST(EngineTest, TinyRingBackpressureKeepsOutputIdentical) {
   eng.Close();
   ExpectSegmentsEqual(
       collector.ForObject(77),
-      SingleStream(baselines::Algorithm::kOPERB, t, opts.spec.zeta),
+      SingleStream("OPERB", t, opts.spec.zeta),
       "tiny ring");
   // With 20k points through a 4-slot ring the producer must have stalled.
   EXPECT_GT(eng.stats().ring_full_stalls, 0u);
@@ -340,7 +335,7 @@ TEST(EngineTest, ManyObjectsGrowTheTablePastItsInitialSize) {
   eng.Close();
   EXPECT_EQ(collector.objects(), kObjects);
   const std::vector<traj::RepresentedSegment> want =
-      SingleStream(baselines::Algorithm::kOPERB, t, opts.spec.zeta);
+      SingleStream("OPERB", t, opts.spec.zeta);
   ExpectSegmentsEqual(collector.ForObject(0), want, "object 0");
   ExpectSegmentsEqual(collector.ForObject(kObjects - 1), want, "object N-1");
   EXPECT_EQ(eng.stats().peak_live_objects, kObjects);
@@ -374,13 +369,11 @@ TEST(EngineTest, SpecStringConstructionMatchesSingleStream) {
   for (const geo::Point& p : t) (*eng)->Push(3, p);
   (*eng)->Close();
 
-  std::vector<traj::RepresentedSegment> want;
-  baselines::MakeSimplifier(baselines::Algorithm::kOPERBA, 25.0,
-                            baselines::OperbFidelity::kPaperFaithful)
-      ->SimplifyToSink(t, [&want](const traj::RepresentedSegment& s) {
-        want.push_back(s);
-      });
-  ExpectSegmentsEqual(collector.ForObject(3), want, "spec-string engine");
+  const auto single = testutil::MakeStreaming(
+      "OPERB-A", 25.0, baselines::OperbFidelity::kPaperFaithful);
+  ExpectSegmentsEqual(collector.ForObject(3),
+                      baselines::SimplifyAll(*single, t.points()).segments(),
+                      "spec-string engine");
 }
 
 TEST(EngineTest, CreateRejectsInvalidOptionsWithStatus) {
@@ -465,7 +458,7 @@ void WriteAllBytes(const std::string& path,
 /// segment anywhere in the interleave — cutting just before it
 /// checkpoints the richest possible pending state. Falls back to a
 /// one-third cut for the batch adapters that only emit on Finish.
-std::size_t FirstEmitCut(baselines::Algorithm algo,
+std::size_t FirstEmitCut(std::string_view algo,
                          const std::vector<traj::ObjectUpdate>& updates) {
   std::map<traj::ObjectId, std::unique_ptr<baselines::StreamingSimplifier>>
       sims;
@@ -474,7 +467,7 @@ std::size_t FirstEmitCut(baselines::Algorithm algo,
     std::unique_ptr<baselines::StreamingSimplifier>& sim =
         sims[updates[i].object_id];
     if (sim == nullptr) {
-      sim = baselines::MakeStreamingSimplifier(algo, kGoldenZeta);
+      sim = testutil::MakeStreaming(algo, kGoldenZeta);
       sim->SetSink(
           [&emitted](const traj::RepresentedSegment&) { emitted = true; });
     }
@@ -485,10 +478,10 @@ std::size_t FirstEmitCut(baselines::Algorithm algo,
 }
 
 class EngineCheckpointTest
-    : public testing::TestWithParam<baselines::Algorithm> {};
+    : public testing::TestWithParam<testutil::AlgorithmParam> {};
 
 TEST_P(EngineCheckpointTest, RestoreResumesBitIdenticallyAtEveryCut) {
-  const baselines::Algorithm algo = GetParam();
+  const std::string algo = GetParam().name();
   const std::vector<datagen::DatasetKind> kinds = datagen::AllDatasetKinds();
   std::vector<traj::ObjectTrajectory> objects;
   for (std::size_t i = 0; i < kinds.size(); ++i) {
@@ -498,7 +491,7 @@ TEST_P(EngineCheckpointTest, RestoreResumesBitIdenticallyAtEveryCut) {
       ShuffleInterleave(objects, /*seed=*/77);
 
   engine::StreamEngineOptions opts;
-  opts.spec = api::SpecFor(algo, kGoldenZeta);
+  opts.spec = testutil::SpecOf(algo, kGoldenZeta);
   opts.num_shards = 2;
   opts.num_threads = 2;
 
@@ -521,8 +514,7 @@ TEST_P(EngineCheckpointTest, RestoreResumesBitIdenticallyAtEveryCut) {
     // Unique per test instance: the suite's cases run concurrently
     // under `ctest -j` and must not overwrite each other's snapshots.
     const std::string path =
-        TempPath("engine_checkpoint_" +
-                 std::string(baselines::AlgorithmName(algo)) + ".ckpt");
+        TempPath("engine_checkpoint_" + algo + ".ckpt");
 
     Collector prefix;
     auto eng = engine::StreamEngine::Create(opts, prefix.Sink());
@@ -572,8 +564,7 @@ TEST_P(EngineCheckpointTest, RestoreResumesBitIdenticallyAtEveryCut) {
               std::to_string(cut));
       // …and to the committed golden fixture.
       const std::string golden_path =
-          std::string(OPERB_GOLDEN_DIR) + "/golden_" +
-          std::string(baselines::AlgorithmName(algo)) + "_" +
+          std::string(OPERB_GOLDEN_DIR) + "/golden_" + algo + "_" +
           std::string(datagen::DatasetName(kinds[i])) + ".csv";
       ExpectSegmentsEqual(c, LoadGolden(golden_path),
                           std::string(datagen::DatasetName(kinds[i])) +
@@ -585,9 +576,9 @@ TEST_P(EngineCheckpointTest, RestoreResumesBitIdenticallyAtEveryCut) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, EngineCheckpointTest,
-    testing::ValuesIn(baselines::AllAlgorithms()),
-    [](const testing::TestParamInfo<baselines::Algorithm>& info) {
-      std::string name = std::string(baselines::AlgorithmName(info.param));
+    testing::ValuesIn(testutil::AllAlgorithmParams()),
+    [](const testing::TestParamInfo<testutil::AlgorithmParam>& info) {
+      std::string name = info.param.name();
       for (char& ch : name) {
         if (ch == '-') ch = '_';
       }
@@ -598,7 +589,7 @@ TEST(EngineTest, CheckpointStatusContract) {
   const traj::Trajectory t =
       testutil::Generated(datagen::DatasetKind::kSerCar, 200, 5);
   engine::StreamEngineOptions opts;
-  opts.spec = api::SpecFor(baselines::Algorithm::kOPERB, kGoldenZeta);
+  opts.spec = testutil::SpecOf("OPERB", kGoldenZeta);
   opts.num_shards = 4;
 
   const std::string path = TempPath("engine_ckpt_contract.ckpt");
@@ -659,14 +650,14 @@ TEST(EngineTest, CheckpointStatusContract) {
   // Configuration mismatches: the checkpoint pins spec and shard count.
   WriteAllBytes(path, good);
   engine::StreamEngineOptions wrong_spec = opts;
-  wrong_spec.spec = api::SpecFor(baselines::Algorithm::kDP, kGoldenZeta);
+  wrong_spec.spec = testutil::SpecOf("DP", kGoldenZeta);
   EXPECT_EQ(engine::StreamEngine::CreateFromCheckpoint(path, wrong_spec,
                                                        nullptr)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
   engine::StreamEngineOptions wrong_zeta = opts;
-  wrong_zeta.spec = api::SpecFor(baselines::Algorithm::kOPERB, 2 * kGoldenZeta);
+  wrong_zeta.spec = testutil::SpecOf("OPERB", 2 * kGoldenZeta);
   EXPECT_EQ(engine::StreamEngine::CreateFromCheckpoint(path, wrong_zeta,
                                                        nullptr)
                 .status()
@@ -691,7 +682,7 @@ TEST(EngineTest, CheckpointWriteFaultsLeaveNoPartialCheckpoint) {
   const traj::Trajectory t =
       testutil::Generated(datagen::DatasetKind::kTaxi, 150, 9);
   engine::StreamEngineOptions opts;
-  opts.spec = api::SpecFor(baselines::Algorithm::kOPERB, kGoldenZeta);
+  opts.spec = testutil::SpecOf("OPERB", kGoldenZeta);
   opts.num_shards = 2;
   engine::StreamEngine eng(opts, nullptr);
   for (std::size_t i = 0; i < t.size(); ++i) eng.Push(3, t[i]);
@@ -747,7 +738,7 @@ TEST(EngineTest, PeriodicCheckpointsDuringConcurrentIngest) {
       ShuffleInterleave(objects, /*seed=*/5);
 
   engine::StreamEngineOptions opts;
-  opts.spec = api::SpecFor(baselines::Algorithm::kOPERBA, kGoldenZeta);
+  opts.spec = testutil::SpecOf("OPERB-A", kGoldenZeta);
   opts.num_shards = 8;
   opts.num_threads = 4;
   opts.ring_capacity = 256;
@@ -836,7 +827,7 @@ void ExpectTimedEqual(const std::vector<traj::TimedSegment>& got,
 
 engine::StreamEngineOptions TrackingOptions(std::size_t shards) {
   engine::StreamEngineOptions opts;
-  opts.spec = api::SpecFor(baselines::Algorithm::kOPERBA, kGoldenZeta);
+  opts.spec = testutil::SpecOf("OPERB-A", kGoldenZeta);
   opts.num_shards = shards;
   opts.track_segment_times = true;
   return opts;
@@ -936,7 +927,7 @@ TEST(EngineTailSnapshotTest, SnapshotStatusContract) {
 
   // Tracking off: the tail clocks the snapshot needs do not exist.
   engine::StreamEngineOptions untracked;
-  untracked.spec = api::SpecFor(baselines::Algorithm::kOPERB, kGoldenZeta);
+  untracked.spec = testutil::SpecOf("OPERB", kGoldenZeta);
   engine::StreamEngine plain(untracked, nullptr);
   EXPECT_EQ(plain.SnapshotShardTails(0, visitor).code(),
             StatusCode::kInvalidArgument);
@@ -955,7 +946,7 @@ TEST(EngineTailSnapshotTest, SnapshotStatusContract) {
 
 TEST(EngineTest, LiveObjectCountAndRingAccessorsTrackTheCensus) {
   engine::StreamEngineOptions opts;
-  opts.spec = api::SpecFor(baselines::Algorithm::kOPERB, kGoldenZeta);
+  opts.spec = testutil::SpecOf("OPERB", kGoldenZeta);
   opts.num_shards = 4;
   opts.ring_capacity = 100;  // rounds up to 128
   engine::StreamEngine eng(opts, nullptr);

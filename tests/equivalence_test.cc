@@ -2,22 +2,23 @@
 //
 // The fixtures under tests/golden/ were produced by the pre-optimization
 // scalar implementation (trig per point, buffered emission, per-point
-// Push). Every algorithm must keep emitting *bit-identical* segments
-// through every execution path:
-//   (a) the batch Simplify() entry point,
-//   (b) the streaming sink path (SimplifyToSink),
-//   (c) for the OPERB family: per-point Push + TakeEmitted polling,
-//   (d) for the OPERB family: batch Push(span) + sink.
+// Push). Every registered algorithm must keep emitting *bit-identical*
+// segments through every execution path:
+//   (a) the whole-trajectory run (baselines::SimplifyAll: one span),
+//   (b) the same registry product fed in two spans after Reset(),
+//   (c) per-point Push after Reset(),
+//   (d) for the OPERB family: core per-point Push + TakeEmitted polling,
+//   (e) for the OPERB family: core batch Push(span) + sink.
 // Regenerate the fixtures with tools/make_golden only for an intentional
 // output change, and re-review the diff.
 
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "baselines/simplifier.h"
 #include "baselines/streaming.h"
 #include "core/operb.h"
 #include "core/operb_a.h"
@@ -35,57 +36,56 @@ using testutil::GoldenTrajectory;
 using testutil::kGoldenZeta;
 using testutil::LoadGolden;
 
-std::vector<traj::RepresentedSegment> ToVector(
-    const traj::PiecewiseRepresentation& rep) {
-  return rep.segments();
+std::vector<traj::RepresentedSegment> Golden(const std::string& algo,
+                                             datagen::DatasetKind kind) {
+  return LoadGolden(std::string(OPERB_GOLDEN_DIR) + "/golden_" + algo + "_" +
+                    std::string(datagen::DatasetName(kind)) + ".csv");
 }
 
 class EquivalenceTest
     : public testing::TestWithParam<
-          std::tuple<baselines::Algorithm, datagen::DatasetKind>> {};
+          std::tuple<testutil::AlgorithmParam, datagen::DatasetKind>> {};
 
 TEST_P(EquivalenceTest, AllPathsMatchGolden) {
-  const auto [algo, kind] = GetParam();
+  const std::string algo = std::get<0>(GetParam()).name();
+  const datagen::DatasetKind kind = std::get<1>(GetParam());
   const traj::Trajectory t = GoldenTrajectory(kind);
-  const std::string golden_path =
-      std::string(OPERB_GOLDEN_DIR) + "/golden_" +
-      std::string(baselines::AlgorithmName(algo)) + "_" +
-      std::string(datagen::DatasetName(kind)) + ".csv";
-  const std::vector<traj::RepresentedSegment> golden =
-      LoadGolden(golden_path);
+  const std::vector<traj::RepresentedSegment> golden = Golden(algo, kind);
   if (HasFailure()) return;
 
-  const auto simplifier = baselines::MakeSimplifier(algo, kGoldenZeta);
+  const auto stream = testutil::MakeStreaming(algo, kGoldenZeta);
 
-  // (a) Batch entry point.
-  ExpectSegmentsEqual(ToVector(simplifier->Simplify(t)), golden, "Simplify");
+  // (a) Whole-trajectory run: one span.
+  ExpectSegmentsEqual(baselines::SimplifyAll(*stream, t.points()).segments(),
+                      golden, "SimplifyAll");
 
-  // (b) Streaming sink path.
+  // (b) The same product, Reset() by SimplifyAll, fed in two spans.
   std::vector<traj::RepresentedSegment> via_sink;
-  simplifier->SimplifyToSink(
-      t, [&via_sink](const traj::RepresentedSegment& s) {
-        via_sink.push_back(s);
-      });
-  ExpectSegmentsEqual(via_sink, golden, "SimplifyToSink");
+  stream->SetSink([&via_sink](const traj::RepresentedSegment& s) {
+    via_sink.push_back(s);
+  });
+  const std::span<const geo::Point> all(t.points());
+  stream->Push(all.subspan(0, t.size() / 3));
+  stream->Push(all.subspan(t.size() / 3));
+  stream->Finish();
+  ExpectSegmentsEqual(via_sink, golden, "two spans after Reset");
 }
 
 /// The streaming surface the benchmark's fit layer times: one reused
 /// StreamingSimplifier fed a whole span (pinned to the scalar level, as
 /// the benchmark's `geo.simd_fit_speedup` pass does), then Reset() and
-/// fed point by point (unpinned). Both runs must emit the same segments
-/// as the batch simplifier. There is one kernel level, so the pin
-/// changes nothing; the test holds span ≡ per-point ≡ batch for every
-/// algorithm, and Reset() reuse on top.
+/// fed point by point (unpinned). Both runs must emit the golden
+/// segments. There is one kernel level, so the pin changes nothing; the
+/// test holds span ≡ per-point ≡ golden for every algorithm, and Reset()
+/// reuse on top.
 TEST_P(EquivalenceTest, DispatchLevelsAreByteIdentical) {
-  const auto [algo, kind] = GetParam();
+  const std::string algo = std::get<0>(GetParam()).name();
+  const datagen::DatasetKind kind = std::get<1>(GetParam());
   const traj::Trajectory t = GoldenTrajectory(kind);
-  std::vector<traj::RepresentedSegment> want;
-  baselines::MakeSimplifier(algo, kGoldenZeta)
-      ->SimplifyToSink(t, [&want](const traj::RepresentedSegment& s) {
-        want.push_back(s);
-      });
+  const std::vector<traj::RepresentedSegment> want = Golden(algo, kind);
+  if (HasFailure()) return;
 
-  const auto stream = baselines::MakeStreamingSimplifier(algo, kGoldenZeta);
+  const auto stream = testutil::MakeStreaming(algo, kGoldenZeta);
   std::vector<traj::RepresentedSegment> got;
   stream->SetSink(
       [&got](const traj::RepresentedSegment& s) { got.push_back(s); });
@@ -104,12 +104,12 @@ TEST_P(EquivalenceTest, DispatchLevelsAreByteIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithmsAllProfiles, EquivalenceTest,
-    testing::Combine(testing::ValuesIn(baselines::AllAlgorithms()),
+    testing::Combine(testing::ValuesIn(testutil::AllAlgorithmParams()),
                      testing::ValuesIn(datagen::AllDatasetKinds())),
     [](const testing::TestParamInfo<EquivalenceTest::ParamType>& info) {
       std::string name =
-          std::string(baselines::AlgorithmName(std::get<0>(info.param))) +
-          "_" + std::string(datagen::DatasetName(std::get<1>(info.param)));
+          std::get<0>(info.param).name() + "_" +
+          std::string(datagen::DatasetName(std::get<1>(info.param)));
       for (char& c : name) {
         if (c == '-') c = '_';
       }
@@ -130,7 +130,7 @@ TEST_P(OperbStreamPathsTest, OperbPollingAndBatchPathsMatchGolden) {
   if (HasFailure()) return;
   const core::OperbOptions opts = core::OperbOptions::Optimized(kGoldenZeta);
 
-  // (c) Per-point Push with TakeEmitted polling (capacity-reusing drain).
+  // (d) Per-point Push with TakeEmitted polling (capacity-reusing drain).
   core::OperbStream polling(opts);
   std::vector<traj::RepresentedSegment> collected;
   std::vector<traj::RepresentedSegment> batch;
@@ -144,7 +144,7 @@ TEST_P(OperbStreamPathsTest, OperbPollingAndBatchPathsMatchGolden) {
   collected.insert(collected.end(), batch.begin(), batch.end());
   ExpectSegmentsEqual(collected, golden, "polling");
 
-  // (d) Batch Push(span) + sink.
+  // (e) Batch Push(span) + sink.
   core::OperbStream spans(opts);
   std::vector<traj::RepresentedSegment> via_sink;
   spans.SetSink([&via_sink](const traj::RepresentedSegment& s) {
@@ -156,7 +156,7 @@ TEST_P(OperbStreamPathsTest, OperbPollingAndBatchPathsMatchGolden) {
   spans.Finish();
   ExpectSegmentsEqual(via_sink, golden, "span+sink");
 
-  // (e) Pooled reuse: Reset() must restore the constructor-fresh state.
+  // Pooled reuse: Reset() must restore the constructor-fresh state.
   spans.Reset();
   via_sink.clear();
   spans.Push(all);

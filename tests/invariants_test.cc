@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "baselines/dp.h"
-#include "baselines/simplifier.h"
 #include "core/operb.h"
 #include "core/operb_a.h"
 #include "eval/metrics.h"
@@ -173,17 +172,13 @@ TEST(MonotonicityTest, RatioDecreasesWithZeta) {
   for (auto kind : {datagen::DatasetKind::kSerCar,
                     datagen::DatasetKind::kGeoLife}) {
     const auto t = Generated(kind, 3000, 13);
-    for (baselines::Algorithm algo :
-         {baselines::Algorithm::kDP, baselines::Algorithm::kFBQS,
-          baselines::Algorithm::kOPERB, baselines::Algorithm::kOPERBA}) {
+    for (const char* algo : {"DP", "FBQS", "OPERB", "OPERB-A"}) {
       double prev = 2.0;
       for (double zeta : {5.0, 15.0, 45.0, 135.0}) {
-        const auto rep =
-            baselines::MakeSimplifier(algo, zeta)->Simplify(t);
+        const auto rep = testutil::Simplify(algo, zeta, t);
         const double ratio = eval::CompressionRatio(t, rep);
         // Allow small non-monotonic wiggle (greedy algorithms).
-        EXPECT_LE(ratio, prev * 1.05)
-            << baselines::AlgorithmName(algo) << " zeta=" << zeta;
+        EXPECT_LE(ratio, prev * 1.05) << algo << " zeta=" << zeta;
         prev = ratio;
       }
     }
@@ -194,9 +189,7 @@ TEST(MonotonicityTest, AverageErrorGrowsWithZeta) {
   const auto t = Generated(datagen::DatasetKind::kTruck, 3000, 21);
   double prev = -1.0;
   for (double zeta : {5.0, 20.0, 80.0}) {
-    const auto rep =
-        baselines::MakeSimplifier(baselines::Algorithm::kOPERBA, zeta)
-            ->Simplify(t);
+    const auto rep = testutil::Simplify("OPERB-A", zeta, t);
     const double avg = eval::MeasureError(t, rep).average;
     EXPECT_GT(avg, prev);
     prev = avg;

@@ -17,14 +17,15 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "api/pipeline.h"
+#include "api/registry.h"
 #include "api/store_query.h"
-#include "baselines/simplifier.h"
 #include "baselines/streaming.h"
 #include "codec/segment_codec.h"
 #include "codec/varint.h"
@@ -85,10 +86,10 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
 /// segment with the covered points' timestamps — exactly what the
 /// pipeline's WriteStore stage feeds the writer.
 std::vector<traj::TimedSegment> SimplifyTimed(const traj::Trajectory& t,
-                                              baselines::Algorithm algorithm,
+                                              std::string_view algorithm,
                                               traj::ObjectId id) {
   const auto simplifier =
-      baselines::MakeStreamingSimplifier(algorithm, testutil::kGoldenZeta);
+      testutil::MakeStreaming(algorithm, testutil::kGoldenZeta);
   std::vector<traj::TimedSegment> out;
   simplifier->SetSink([&](const traj::RepresentedSegment& s) {
     out.push_back({id, s, t[s.first_index].t, t[s.last_index].t});
@@ -146,9 +147,9 @@ TEST(SegmentCodecTest, RoundTripsExactlyIncludingPatchFlags) {
       datagen::DatasetKind::kSerCar);
   // OPERB-A produces patch endpoints; two objects make two runs.
   std::vector<traj::TimedSegment> input =
-      SimplifyTimed(t, baselines::Algorithm::kOPERBA, 7);
+      SimplifyTimed(t, "OPERB-A", 7);
   const std::vector<traj::TimedSegment> second =
-      SimplifyTimed(t, baselines::Algorithm::kOPERB, 40000000001ULL);
+      SimplifyTimed(t, "OPERB", 40000000001ULL);
   input.insert(input.end(), second.begin(), second.end());
 
   std::vector<std::uint8_t> encoded;
@@ -171,7 +172,7 @@ TEST(SegmentCodecTest, EmptyBlockAndCorruptionAreHandled) {
             StatusCode::kCorruption);
   // Truncate a real block mid-stream.
   const traj::Trajectory t = testutil::StraightLine(20);
-  codec::EncodeSegmentBlock(SimplifyTimed(t, baselines::Algorithm::kOPERB, 1),
+  codec::EncodeSegmentBlock(SimplifyTimed(t, "OPERB", 1),
                             &encoded);
   const std::span<const std::uint8_t> half(encoded.data(),
                                            encoded.size() / 2);
@@ -221,7 +222,8 @@ TEST_P(StoreGoldenTest, AllAlgorithmsRoundTripBitIdentically) {
     auto writer = store::StoreWriter::Create(path, options);
     ASSERT_TRUE(writer.ok()) << writer.status().ToString();
     traj::ObjectId id = 0;
-    for (const baselines::Algorithm algorithm : baselines::AllAlgorithms()) {
+    for (const std::string& algorithm :
+         api::AlgorithmRegistry::Global().Names()) {
       expected.push_back(SimplifyTimed(t, algorithm, id));
       for (const traj::TimedSegment& s : expected.back()) {
         ASSERT_TRUE(writer.value()->Append(s).ok());
@@ -237,19 +239,18 @@ TEST_P(StoreGoldenTest, AllAlgorithmsRoundTripBitIdentically) {
   EXPECT_FALSE(reader.value()->open_info().tail_dropped);
 
   traj::ObjectId id = 0;
-  for (const baselines::Algorithm algorithm : baselines::AllAlgorithms()) {
+  for (const std::string& algorithm :
+       api::AlgorithmRegistry::Global().Names()) {
     const std::string label =
-        std::string(baselines::AlgorithmName(algorithm)) + " on " +
-        std::string(datagen::DatasetName(kind));
+        algorithm + " on " + std::string(datagen::DatasetName(kind));
     const auto got = reader.value()->ReconstructObject(id);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ExpectTimedEqual(*got, expected[id], label);
 
-    // And directly against the committed fixtures: the store is the
-    // third pinned path (batch, sink, store) to the same bytes.
+    // And directly against the committed fixtures: the store is one
+    // more pinned path (sink, store) to the same bytes.
     const std::vector<traj::RepresentedSegment> golden = testutil::LoadGolden(
-        std::string(OPERB_GOLDEN_DIR) + "/golden_" +
-        std::string(baselines::AlgorithmName(algorithm)) + "_" +
+        std::string(OPERB_GOLDEN_DIR) + "/golden_" + algorithm + "_" +
         std::string(datagen::DatasetName(kind)) + ".csv");
     if (!HasFailure()) {
       testutil::ExpectSegmentsEqual(Untimed(*got), golden,
@@ -303,7 +304,7 @@ TEST(StoreTest, SingleSegmentObjectRoundTrips) {
   const std::string path = TempPath("store_single.store");
   const traj::Trajectory t = testutil::StraightLine(2);
   const std::vector<traj::TimedSegment> segments =
-      SimplifyTimed(t, baselines::Algorithm::kOPERB, 42);
+      SimplifyTimed(t, "OPERB", 42);
   ASSERT_EQ(segments.size(), 1u);
   const auto reader = WriteAndOpen(path, segments);
   const auto got = reader->ReconstructObject(42);
@@ -320,7 +321,7 @@ TEST(StoreTest, TimeRangeStraddlingBlockBoundaries) {
   const traj::Trajectory t =
       testutil::Generated(datagen::DatasetKind::kSerCar, 3000, 17);
   const std::vector<traj::TimedSegment> all =
-      SimplifyTimed(t, baselines::Algorithm::kOPERB, 5);
+      SimplifyTimed(t, "OPERB", 5);
   // Minimum budget => many small blocks of one object.
   const auto reader = WriteAndOpen(path, all, /*block_budget=*/1024);
   ASSERT_GE(reader->block_count(), 3u)
@@ -360,9 +361,9 @@ TEST(StoreTest, WindowQuerySkipsBlocksOnFooterMetadata) {
     far_away.AppendUnchecked({p.x + 1e6, p.y + 1e6, p.t});
   }
   std::vector<traj::TimedSegment> all =
-      SimplifyTimed(near_origin, baselines::Algorithm::kOPERB, 1);
+      SimplifyTimed(near_origin, "OPERB", 1);
   const std::vector<traj::TimedSegment> far =
-      SimplifyTimed(far_away, baselines::Algorithm::kOPERB, 2);
+      SimplifyTimed(far_away, "OPERB", 2);
   const std::size_t near_count = all.size();
   all.insert(all.end(), far.begin(), far.end());
 
@@ -405,7 +406,7 @@ TEST(StoreTest, ReopenAfterTruncationDropsOnlyTheTail) {
   const traj::Trajectory t =
       testutil::GoldenTrajectory(datagen::DatasetKind::kSerCar);
   const std::vector<traj::TimedSegment> all =
-      SimplifyTimed(t, baselines::Algorithm::kOPERB, 9);
+      SimplifyTimed(t, "OPERB", 9);
   std::size_t blocks_before = 0;
   {
     const auto reader = WriteAndOpen(path, all, /*block_budget=*/1024);
@@ -439,7 +440,7 @@ TEST(StoreTest, CorruptPayloadSurfacesAsCorruptionOnRead) {
   const std::string path = TempPath("store_corrupt.store");
   const traj::Trajectory t = testutil::ZigZag(60);
   const std::vector<traj::TimedSegment> all =
-      SimplifyTimed(t, baselines::Algorithm::kOPERB, 3);
+      SimplifyTimed(t, "OPERB", 3);
   { WriteAndOpen(path, all); }
   const std::string segment = OnlySegmentFile(path);
   std::string bytes = ReadFileBytes(segment);
@@ -477,7 +478,7 @@ TEST(StoreTest, InvertedFooterRangesFailOpenWithStatus) {
   const std::string path = TempPath("store_inverted.store");
   const traj::Trajectory t = testutil::ZigZag(40);
   const std::vector<traj::TimedSegment> all =
-      SimplifyTimed(t, baselines::Algorithm::kOPERB, 3);
+      SimplifyTimed(t, "OPERB", 3);
   { WriteAndOpen(path, all); }
   const std::string segment = OnlySegmentFile(path);
   const std::string original = ReadFileBytes(segment);
@@ -550,7 +551,7 @@ TEST(StoreTest, FooterCorruptionMatrixAlwaysSurfacesAsCorruption) {
   const std::string path = TempPath("store_matrix.store");
   const traj::Trajectory t = testutil::ZigZag(40);
   const std::vector<traj::TimedSegment> all =
-      SimplifyTimed(t, baselines::Algorithm::kOPERB, 3);
+      SimplifyTimed(t, "OPERB", 3);
   { WriteAndOpen(path, all); }
   const std::string segment = OnlySegmentFile(path);
   const std::string original = ReadFileBytes(segment);
@@ -602,7 +603,7 @@ TEST(StoreTest, OpenRejectsBareSegmentFilesAndOtherVersions) {
   // weaker footer checks.
   const std::string path = TempPath("store_bare_segment.store");
   const std::vector<traj::TimedSegment> all =
-      SimplifyTimed(testutil::ZigZag(40), baselines::Algorithm::kOPERB, 3);
+      SimplifyTimed(testutil::ZigZag(40), "OPERB", 3);
   { WriteAndOpen(path, all); }
   const std::string segment = OnlySegmentFile(path);
   EXPECT_EQ(store::StoreReader::Open(segment).status().code(),
@@ -620,6 +621,25 @@ TEST(StoreTest, OpenRejectsBareSegmentFilesAndOtherVersions) {
   EXPECT_NE(reopened.status().ToString().find("unsupported store format"),
             std::string::npos)
       << reopened.status().ToString();
+}
+
+TEST(StoreTest, CreateRefusesAndKeepsARegularFileAtThePath) {
+  // A store is a directory. A regular file at the path (a mistyped
+  // output name, someone's data) is refused with a Status and left
+  // byte-for-byte intact, for a fresh store and an append session alike.
+  const std::string path = TempPath("store_over_regular_file.csv");
+  const std::string content = "t,x,y\n1,2,3\n";
+  std::filesystem::remove_all(path);
+  WriteFileBytes(path, content);
+  for (const bool append : {false, true}) {
+    store::StoreWriterOptions options;
+    options.append = append;
+    const auto writer = store::StoreWriter::Create(path, options);
+    ASSERT_FALSE(writer.ok()) << "append=" << append;
+    EXPECT_EQ(writer.status().code(), StatusCode::kIOError);
+    EXPECT_TRUE(std::filesystem::is_regular_file(path));
+    EXPECT_EQ(ReadFileBytes(path), content);
+  }
 }
 
 TEST(StoreTest, WriterRejectsBadOptionsAndLateAppends) {
@@ -667,7 +687,7 @@ std::vector<std::vector<traj::TimedSegment>> MultiObjectFeed() {
   for (traj::ObjectId id = 0; id < 12; ++id) {
     const traj::Trajectory t = testutil::Generated(
         datagen::DatasetKind::kTaxi, 200, 50 + id);
-    per_object.push_back(SimplifyTimed(t, baselines::Algorithm::kOPERB, id));
+    per_object.push_back(SimplifyTimed(t, "OPERB", id));
   }
   return per_object;
 }
@@ -1037,7 +1057,7 @@ TEST(StoreTest, PositionAtInterpolatesWithinTheStoredZetaBound) {
   const traj::Trajectory t =
       testutil::GoldenTrajectory(datagen::DatasetKind::kGeoLife);
   const std::vector<traj::TimedSegment> all =
-      SimplifyTimed(t, baselines::Algorithm::kOPERB, 1);
+      SimplifyTimed(t, "OPERB", 1);
   const auto reader = WriteAndOpen(path, all, /*block_budget=*/1024);
 
   // The reconstruction carries the simplifier's guarantee: every
@@ -1087,7 +1107,7 @@ TEST(StoreQueryApiTest, ValidatesShapeAndServesQueries) {
   const std::string path = TempPath("store_api.store");
   const traj::Trajectory t = testutil::ZigZag(80);
   const std::vector<traj::TimedSegment> all =
-      SimplifyTimed(t, baselines::Algorithm::kOPERB, 6);
+      SimplifyTimed(t, "OPERB", 6);
   { WriteAndOpen(path, all); }
 
   api::StoreQuery query;
@@ -1253,7 +1273,7 @@ std::vector<std::vector<traj::TimedSegment>> CrashFeed() {
   for (traj::ObjectId id = 0; id < 3; ++id) {
     const traj::Trajectory t = testutil::Generated(
         datagen::DatasetKind::kTaxi, 120, 90 + static_cast<int>(id));
-    feed.push_back(SimplifyTimed(t, baselines::Algorithm::kOPERB, id));
+    feed.push_back(SimplifyTimed(t, "OPERB", id));
   }
   return feed;
 }
@@ -1391,7 +1411,7 @@ TEST(StoreTest, OpenRetriesManifestSwapRaceWithCappedBackoff) {
   std::filesystem::remove_all(path);
   const traj::Trajectory t = testutil::ZigZag(60);
   const std::vector<traj::TimedSegment> all =
-      SimplifyTimed(t, baselines::Algorithm::kOPERB, 3);
+      SimplifyTimed(t, "OPERB", 3);
   { WriteAndOpen(path, all); }
 
   // Hide the manifest-named segment file: Open now fails exactly the
@@ -1521,7 +1541,7 @@ TEST(StoreCompactionTest, PauseResumeRacingStopIsSafe) {
   std::filesystem::remove_all(path);
   const traj::Trajectory t = testutil::ZigZag(40);
   const std::vector<traj::TimedSegment> all =
-      SimplifyTimed(t, baselines::Algorithm::kOPERB, 1);
+      SimplifyTimed(t, "OPERB", 1);
   {
     store::StoreWriterOptions options;
     options.zeta = testutil::kGoldenZeta;

@@ -4,11 +4,17 @@
 #include <charconv>
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "api/registry.h"
+#include "api/spec.h"
+#include "baselines/streaming.h"
 #include "datagen/profiles.h"
 #include "datagen/rng.h"
 #include "geo/point.h"
@@ -22,6 +28,59 @@ namespace operb::testutil {
 inline constexpr std::uint64_t kGoldenSeed = 20170401;
 inline constexpr std::size_t kGoldenPoints = 600;
 inline constexpr double kGoldenZeta = 40.0;
+
+/// Test parameter naming one registered algorithm by its position in
+/// api::AlgorithmRegistry::Global().Names() (the paper's figure order).
+/// A bare 4-byte value with no gtest printer: the ctest names of the
+/// parameterized suites end in "# GetParam() = 4-byte object <..>", and a
+/// printable parameter (a std::string name) would rename every instance.
+struct AlgorithmParam {
+  std::int32_t index;
+
+  std::string name() const {
+    return api::AlgorithmRegistry::Global().Names().at(
+        static_cast<std::size_t>(index));
+  }
+};
+
+/// Every registered algorithm, in registration order.
+inline std::vector<AlgorithmParam> AllAlgorithmParams() {
+  std::vector<AlgorithmParam> out;
+  const std::size_t n = api::AlgorithmRegistry::Global().Names().size();
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back({static_cast<std::int32_t>(i)});
+  }
+  return out;
+}
+
+/// The spec for registered algorithm `algorithm` at error bound `zeta`.
+inline api::SimplifierSpec SpecOf(
+    std::string_view algorithm, double zeta,
+    baselines::OperbFidelity fidelity = baselines::OperbFidelity::kGuarded) {
+  api::SimplifierSpec spec;
+  spec.algorithm = std::string(algorithm);
+  spec.zeta = zeta;
+  spec.fidelity = fidelity;
+  return spec;
+}
+
+/// The registry product for `algorithm` at `zeta`. A bad spec fails the
+/// test with its Status before value() gives up on it.
+inline std::unique_ptr<baselines::StreamingSimplifier> MakeStreaming(
+    std::string_view algorithm, double zeta,
+    baselines::OperbFidelity fidelity = baselines::OperbFidelity::kGuarded) {
+  auto made = api::AlgorithmRegistry::Global().MakeStreaming(
+      SpecOf(algorithm, zeta, fidelity));
+  EXPECT_TRUE(made.ok()) << made.status().ToString();
+  return std::move(made).value();
+}
+
+/// Whole-trajectory output of `algorithm` at `zeta` on `t`.
+inline traj::PiecewiseRepresentation Simplify(std::string_view algorithm,
+                                              double zeta,
+                                              const traj::Trajectory& t) {
+  return baselines::SimplifyAll(*MakeStreaming(algorithm, zeta), t.points());
+}
 
 /// The exact trajectory a golden fixture was generated from.
 inline traj::Trajectory GoldenTrajectory(datagen::DatasetKind kind) {

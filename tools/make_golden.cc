@@ -1,13 +1,15 @@
 // make_golden: regenerates the golden equivalence fixtures under
 // tests/golden/.
 //
-// For every algorithm in the library and every synthetic dataset profile
-// it runs the batch Simplify() path on a fixed trajectory (600 points,
-// seed 20170401, zeta = 40 m, library-default guarded fidelity) and dumps
-// the resulting segments with full double precision (%.17g round-trips
-// bit-exactly). tests/equivalence_test.cc asserts that every execution
-// path — batch, per-point streaming, sink, batch Push — reproduces these
-// files bit-identically.
+// For every registered algorithm and every synthetic dataset profile it
+// runs the registry's simplifier over a fixed trajectory as one span
+// (600 points, seed 20170401, zeta = 40 m, library-default guarded
+// fidelity) and dumps the resulting segments with full double precision
+// (%.17g round-trips bit-exactly). tests/equivalence_test.cc asserts that
+// every execution path — one span, split spans, per-point Push, the
+// engine, the store — reproduces these files bit-identically; the
+// make_golden_reproduces ctest regenerates them into the build tree and
+// diffs them against tests/golden/.
 //
 // The checked-in fixtures were produced by the pre-optimization scalar
 // implementation; regenerate (and re-review the diff!) only when an
@@ -20,7 +22,9 @@
 #include <cstdio>
 #include <string>
 
-#include "baselines/simplifier.h"
+#include "api/registry.h"
+#include "api/spec.h"
+#include "baselines/streaming.h"
 #include "datagen/profiles.h"
 #include "datagen/rng.h"
 #include "traj/piecewise.h"
@@ -42,20 +46,27 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string out_dir = argv[1];
+  const api::AlgorithmRegistry& registry = api::AlgorithmRegistry::Global();
 
   for (datagen::DatasetKind kind : datagen::AllDatasetKinds()) {
     datagen::Rng rng(kGoldenSeed);
     const traj::Trajectory trajectory = datagen::GenerateTrajectory(
         datagen::DatasetProfile::For(kind), kGoldenPoints, &rng);
-    for (baselines::Algorithm algo : baselines::AllAlgorithms()) {
-      const auto simplifier =
-          baselines::MakeSimplifier(algo, kGoldenZeta);
+    for (const std::string& algo : registry.Names()) {
+      api::SimplifierSpec spec;
+      spec.algorithm = algo;
+      spec.zeta = kGoldenZeta;
+      auto simplifier = registry.MakeStreaming(spec);
+      if (!simplifier.ok()) {
+        std::fprintf(stderr, "make_golden: %s\n",
+                     simplifier.status().ToString().c_str());
+        return 1;
+      }
       const traj::PiecewiseRepresentation rep =
-          simplifier->Simplify(trajectory);
+          baselines::SimplifyAll(**simplifier, trajectory.points());
 
-      const std::string path = out_dir + "/golden_" +
-                               std::string(baselines::AlgorithmName(algo)) +
-                               "_" + std::string(datagen::DatasetName(kind)) +
+      const std::string path = out_dir + "/golden_" + algo + "_" +
+                               std::string(datagen::DatasetName(kind)) +
                                ".csv";
       std::FILE* f = std::fopen(path.c_str(), "wb");
       if (f == nullptr) {
@@ -65,7 +76,7 @@ int main(int argc, char** argv) {
       std::fprintf(f,
                    "# golden segments: %s on %s, n=%zu seed=%llu zeta=%g\n"
                    "# first,last,start_patch,end_patch,sx,sy,ex,ey\n",
-                   std::string(baselines::AlgorithmName(algo)).c_str(),
+                   algo.c_str(),
                    std::string(datagen::DatasetName(kind)).c_str(),
                    kGoldenPoints,
                    static_cast<unsigned long long>(kGoldenSeed), kGoldenZeta);

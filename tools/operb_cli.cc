@@ -47,6 +47,7 @@
 #include "server/client.h"
 #include "store/compactor.h"
 #include "store/writer.h"
+#include "traj/cleaner.h"
 #include "traj/io.h"
 #include "traj/multi_object.h"
 #include "traj/trajectory.h"
@@ -818,8 +819,17 @@ int ReportSingle(const CliOptions& options, const api::PipelineReport& report,
     representation.Append(s.segment);
   }
 
-  const double ratio = eval::CompressionRatio(original, representation);
-  const eval::ErrorStats error = eval::MeasureError(original, representation);
+  // With --clean the segments index the cleaned stream, so ratio and
+  // error are measured against it: the same default cleaner the
+  // pipeline's Clean stage ran.
+  traj::Trajectory cleaned;
+  if (options.clean) {
+    cleaned = traj::StreamCleaner().CleanAll(original.points());
+  }
+  const traj::Trajectory& simplified = options.clean ? cleaned : original;
+  const double ratio = eval::CompressionRatio(simplified, representation);
+  const eval::ErrorStats error =
+      eval::MeasureError(simplified, representation);
   std::printf("input:     %zu points, %.2f km, %.0f s  (%s)\n",
               original.size(), original.PathLength() / 1000.0,
               original.Duration(), source_label.c_str());
@@ -924,11 +934,11 @@ int RunPipeline(const CliOptions& options) {
   if (!run.ok()) {
     // Data errors (non-monotone timestamps, corrupt rows, unwritable
     // store, a damaged or mismatched checkpoint); the flags were valid.
+    const bool io_error = run.status().code() == StatusCode::kIOError;
     std::fprintf(stderr, "operb_cli: %s%s\n",
                  run.status().ToString().c_str(),
-                 options.clean ? "" : " (try --clean)");
-    return run.status().code() == StatusCode::kIOError ? kExitIo
-                                                       : kExitUsage;
+                 options.clean || io_error ? "" : " (try --clean)");
+    return io_error ? kExitIo : kExitUsage;
   }
   return group ? ReportGroup(options, *run, eopts, total_points, source_label)
                : ReportSingle(options, *run, original, source_label);
