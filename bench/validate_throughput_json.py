@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Validates BENCH_throughput.json against the operb-bench-throughput
-schema (version 10). Stdlib-only so CI needs no extra packages.
+schema (version 11). Stdlib-only so CI needs no extra packages.
 
-Beyond shape checks, the store section carries semantic gates: the
-R-tree index must never skip fewer blocks than the flat footer scan, the
-two scan modes must match the same segments, the index may touch at most
-25% of the nodes the flat scan visits (footers), and compaction must not
-change the window query's answer. The checkpoint section (v6) gates on
+Version 11 drops the ingest, end_to_end, concurrent_streams and store
+sections: perfbench (BENCHMARK.json) measures those layers, and the
+store's pruning and compaction gates live in tests/store_test.cc
+(StoreTest.SpreadFleetWindowPrunesThroughTheIndex).
+
+Beyond shape checks, the checkpoint section (v6) gates on
 output_match == 1: a checkpoint/restore cycle must reproduce the
 uninterrupted run's output exactly. The metrics_overhead section (new in
 v7) gates live obs instrumentation to at most 3% over the plain sink
 loop in full mode (smoke passes are microsecond-scale, so the benchmark
-binary applies a looser smoke tolerance before the JSON is written; the
-validator re-checks the full-mode bound only when smoke is false). The
+binary applies a looser smoke tolerance of its own; the validator
+re-checks the full-mode bound only when smoke is false). The
 server section (new in v8) gates the live daemon: a full-mode run must
 hold at least 100k live objects, sweep at least 2 client-thread counts,
 and report positive qps with p50 <= p99 query latency. The
@@ -38,29 +39,15 @@ TOP_LEVEL = {
     "unix_time": int,
     "zeta": NUMBER,
     "seed": int,
-    "ingest": list,
     "steady_state": list,
     "batched_vs_pointwise": list,
-    "end_to_end": list,
-    "concurrent_streams": list,
     "facade_overhead": list,
     "metrics_overhead": list,
-    "store": list,
     "checkpoint": list,
     "server": list,
 }
 
 SECTION_FIELDS = {
-    "ingest": {
-        "format": str,
-        "profile": str,
-        "points": int,
-        "bytes": int,
-        "passes": int,
-        "seconds_per_pass": NUMBER,
-        "points_per_sec": NUMBER,
-        "mb_per_sec": NUMBER,
-    },
     "steady_state": {
         "algorithm": str,
         "spec": str,
@@ -82,28 +69,6 @@ SECTION_FIELDS = {
         "hash_batched": str,
         "hash_match": int,
     },
-    "end_to_end": {
-        "pipeline": str,
-        "algorithm": str,
-        "spec": str,
-        "profile": str,
-        "points": int,
-        "passes": int,
-        "seconds_per_pass": NUMBER,
-        "points_per_sec": NUMBER,
-    },
-    "concurrent_streams": {
-        "algorithm": str,
-        "spec": str,
-        "live_objects": int,
-        "threads": int,
-        "shards": int,
-        "points": int,
-        "segments": int,
-        "passes": int,
-        "seconds_per_pass": NUMBER,
-        "points_per_sec": NUMBER,
-    },
     "facade_overhead": {
         "algorithm": str,
         "spec": str,
@@ -122,42 +87,6 @@ SECTION_FIELDS = {
         "plain_points_per_sec": NUMBER,
         "instrumented_points_per_sec": NUMBER,
         "overhead_pct": NUMBER,
-    },
-    "store": {
-        "algorithm": str,
-        "spec": str,
-        "objects": int,
-        "points": int,
-        "segments": int,
-        "blocks": int,
-        "file_bytes": int,
-        "shards": int,
-        "index_nodes": int,
-        "write_amplification": NUMBER,
-        "write_passes": int,
-        "write_seconds_per_pass": NUMBER,
-        "write_segments_per_sec": NUMBER,
-        "open_seconds_per_pass": NUMBER,
-        "window_query_seconds": NUMBER,
-        "window_blocks_skipped": int,
-        "window_blocks_scanned": int,
-        "window_index_nodes_visited": int,
-        "window_segments_matched": int,
-        "flat_window_query_seconds": NUMBER,
-        "flat_window_blocks_skipped": int,
-        "flat_window_blocks_scanned": int,
-        "flat_window_segments_matched": int,
-        "reconstruct_seconds": NUMBER,
-        "reconstruct_segments": int,
-        "compact_seconds": NUMBER,
-        "compact_shards_compacted": int,
-        "compact_write_amplification": NUMBER,
-        "compact_blocks_before": int,
-        "compact_blocks_after": int,
-        "compact_files_before": int,
-        "compact_files_after": int,
-        "post_compact_open_seconds": NUMBER,
-        "post_compact_window_segments_matched": int,
     },
     "checkpoint": {
         "algorithm": str,
@@ -220,7 +149,7 @@ def main():
             fail(f"top-level key '{key}' has wrong type")
     if doc["schema"] != "operb-bench-throughput":
         fail(f"unexpected schema '{doc['schema']}'")
-    if doc["schema_version"] != 10:
+    if doc["schema_version"] != 11:
         fail(f"unexpected schema_version {doc['schema_version']}")
 
     for section, fields in SECTION_FIELDS.items():
@@ -275,57 +204,6 @@ def main():
                     fail(f"{section}[{i}] metrics overhead "
                          f"{entry['overhead_pct']:.1f}% exceeds the 3% "
                          "gate")
-                continue
-            if section == "store":
-                if (entry["blocks"] <= 0 or entry["file_bytes"] <= 0
-                        or entry["segments"] <= 0
-                        or entry["shards"] <= 0
-                        or entry["index_nodes"] <= 0
-                        or entry["write_amplification"] <= 0
-                        or entry["write_passes"] <= 0
-                        or entry["write_seconds_per_pass"] <= 0
-                        or entry["open_seconds_per_pass"] <= 0
-                        or entry["window_query_seconds"] <= 0
-                        or entry["flat_window_query_seconds"] <= 0
-                        or entry["reconstruct_seconds"] <= 0
-                        or entry["compact_seconds"] <= 0
-                        or entry["compact_write_amplification"] <= 0
-                        or entry["post_compact_open_seconds"] <= 0):
-                    fail(f"{section}[{i}] has non-positive store numbers")
-                if entry["window_blocks_skipped"] < 1:
-                    fail(f"{section}[{i}] window query skipped no blocks "
-                         "(footer pruning broken)")
-                if (entry["window_blocks_skipped"]
-                        + entry["window_blocks_scanned"]
-                        != entry["blocks"]):
-                    fail(f"{section}[{i}] skip/scan counts do not cover "
-                         "the block count")
-                # Index soundness and pruning gates (schema v5): the
-                # R-tree must skip at least as many blocks as the flat
-                # footer scan, agree with it on the matched segments,
-                # and visit at most 25% as many index nodes as the flat
-                # scan visits footers.
-                if (entry["window_blocks_skipped"]
-                        < entry["flat_window_blocks_skipped"]):
-                    fail(f"{section}[{i}] R-tree skipped fewer blocks "
-                         "than the flat footer scan")
-                if (entry["window_segments_matched"]
-                        != entry["flat_window_segments_matched"]):
-                    fail(f"{section}[{i}] R-tree and flat scan matched "
-                         "different segment counts")
-                flat_footers = (entry["flat_window_blocks_skipped"]
-                                + entry["flat_window_blocks_scanned"])
-                if entry["window_index_nodes_visited"] * 4 > flat_footers:
-                    fail(f"{section}[{i}] R-tree visited "
-                         f"{entry['window_index_nodes_visited']} nodes "
-                         f"against {flat_footers} flat-scanned footers "
-                         "(over the 25% gate)")
-                if (entry["post_compact_window_segments_matched"]
-                        != entry["window_segments_matched"]):
-                    fail(f"{section}[{i}] compaction changed the window "
-                         "query's answer")
-                if entry["compact_files_after"] > entry["compact_files_before"]:
-                    fail(f"{section}[{i}] compaction grew the file count")
                 continue
             if section == "server":
                 # Semantic gates (schema v8): the daemon must have held
@@ -398,30 +276,19 @@ def main():
     algos = {e["algorithm"] for e in doc["steady_state"]}
     if len(algos) < 10:
         fail(f"steady_state covers only {len(algos)} algorithms (need 10)")
-    for i, entry in enumerate(doc["concurrent_streams"]):
-        if entry["threads"] <= 0 or entry["shards"] <= 0:
-            fail(f"concurrent_streams[{i}] has non-positive threads/shards")
-        if entry["live_objects"] <= 0:
-            fail(f"concurrent_streams[{i}] has non-positive live_objects")
-    thread_counts = {e["threads"] for e in doc["concurrent_streams"]}
-    if len(thread_counts) < 2:
-        fail("concurrent_streams must sweep at least 2 thread counts")
     server_threads = {e["client_threads"] for e in doc["server"]}
     if len(server_threads) < 2:
         fail("server must sweep at least 2 client-thread counts")
     # Spec strings must resolve to the algorithm they annotate.
-    for section in ("steady_state", "end_to_end", "concurrent_streams",
-                    "facade_overhead", "metrics_overhead", "store",
+    for section in ("steady_state", "facade_overhead", "metrics_overhead",
                     "checkpoint", "server"):
         for i, entry in enumerate(doc[section]):
             if not entry["spec"].startswith(entry["algorithm"] + ":"):
                 fail(f"{section}[{i}].spec '{entry['spec']}' does not "
                      f"resolve to algorithm '{entry['algorithm']}'")
-    print(f"{sys.argv[1]}: valid operb-bench-throughput v10 "
+    print(f"{sys.argv[1]}: valid operb-bench-throughput v11 "
           f"({len(doc['steady_state'])} steady-state entries, "
           f"{len(batched)} batched-vs-pointwise entries, "
-          f"{len(doc['concurrent_streams'])} concurrent-stream entries, "
-          f"{len(doc['store'])} store entries, "
           f"{len(doc['checkpoint'])} checkpoint entries, "
           f"{len(doc['server'])} server entries)")
 

@@ -33,11 +33,11 @@ function(check_snapshot path want_counter)
       "${path}: bad or missing schema ('${schema}', err: ${err})")
   endif()
   string(JSON version ERROR_VARIABLE err GET "${doc}" schema_version)
-  if(err OR NOT version EQUAL 1)
+  if(err OR NOT version EQUAL 2)
     message(FATAL_ERROR
       "${path}: bad schema_version ('${version}', err: ${err})")
   endif()
-  foreach(section counters gauges max_gauges histograms trace)
+  foreach(section counters gauges max_gauges histograms)
     string(JSON ignored ERROR_VARIABLE err GET "${doc}" ${section})
     if(err)
       message(FATAL_ERROR "${path}: missing section '${section}': ${err}")

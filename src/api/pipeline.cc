@@ -15,7 +15,6 @@
 #include "common/stopwatch.h"
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
-#include "obs/trace.h"
 #include "traj/io.h"
 #include "traj/piecewise.h"
 
@@ -474,7 +473,6 @@ Result<PipelineReport> Pipeline::Run() {
   // is); the engine shards the interleaved stream over worker threads.
   Stopwatch watch;
   if (!cfg.use_engine_) {
-    obs::TraceSpan span("pipeline.simplify");
     obs::ScopedTimer simplify_timer(
         obs::kMetricsEnabled ? GetPipelineMetrics().simplify_ns : nullptr);
     for (const traj::ObjectTrajectory& obj : objects) {
@@ -511,7 +509,6 @@ Result<PipelineReport> Pipeline::Run() {
           eng, engine::StreamEngine::Create(cfg.engine_options_, emit));
     }
     watch.Restart();
-    obs::TraceSpan span("pipeline.simplify");
     obs::ScopedTimer simplify_timer(
         obs::kMetricsEnabled ? GetPipelineMetrics().simplify_ns : nullptr);
     const bool do_checkpoint = !cfg.checkpoint_path_.empty();

@@ -12,7 +12,6 @@
 #include "common/serial.h"
 #include "engine/spsc_ring.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace operb::engine {
 
@@ -642,7 +641,6 @@ Status StreamEngine::Checkpoint(const std::string& path, store::Env* env) {
   obs::ScopedTimer write_timer(
       obs::kMetricsEnabled ? GetEngineMetrics().checkpoint_write_ns
                            : nullptr);
-  obs::TraceSpan span("engine.checkpoint");
   // Drain barrier: hand every staged update to the rings, then wait for
   // each shard's processed count (released by the worker after the
   // batch) to reach the hand-off count. After it, every worker is
@@ -680,7 +678,6 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::CreateFromCheckpoint(
   obs::ScopedTimer restore_timer(
       obs::kMetricsEnabled ? GetEngineMetrics().checkpoint_restore_ns
                            : nullptr);
-  obs::TraceSpan span("engine.restore");
 
   // Reads go through stdio like every store read path; the Env seam
   // covers durable writes only.

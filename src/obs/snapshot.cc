@@ -41,16 +41,10 @@ const MetricsRegistry& ResolveRegistry(const SnapshotOptions& options) {
                                      : MetricsRegistry::Global();
 }
 
-const TraceRecorder& ResolveRecorder(const SnapshotOptions& options) {
-  return options.recorder != nullptr ? *options.recorder
-                                     : TraceRecorder::Global();
-}
-
 }  // namespace
 
 std::string RenderSnapshotText(const SnapshotOptions& options) {
   const MetricsRegistry& registry = ResolveRegistry(options);
-  const TraceRecorder& recorder = ResolveRecorder(options);
   std::string out = "operb metrics snapshot (schema v";
   out += std::to_string(kSnapshotSchemaVersion);
   out += ")\n";
@@ -88,17 +82,11 @@ std::string RenderSnapshotText(const SnapshotOptions& options) {
     AppendU64(&out, static_cast<std::uint64_t>(h.ApproxPercentile(0.99)));
     out += '\n';
   }
-  out += "trace      recorded=";
-  AppendU64(&out, recorder.recorded());
-  out += " dropped=";
-  AppendU64(&out, recorder.dropped());
-  out += '\n';
   return out;
 }
 
 std::string RenderSnapshotJson(const SnapshotOptions& options) {
   const MetricsRegistry& registry = ResolveRegistry(options);
-  const TraceRecorder& recorder = ResolveRecorder(options);
   std::string out = "{\n  \"schema\": ";
   AppendJsonString(&out, kSnapshotSchemaName);
   out += ",\n  \"schema_version\": ";
@@ -143,11 +131,7 @@ std::string RenderSnapshotJson(const SnapshotOptions& options) {
              out += "]}";
            });
 
-  out += ",\n  \"trace\": {\"recorded\": ";
-  AppendU64(&out, recorder.recorded());
-  out += ", \"dropped\": ";
-  AppendU64(&out, recorder.dropped());
-  out += "}\n}\n";
+  out += "\n}\n";
   return out;
 }
 
@@ -223,8 +207,6 @@ class SnapshotParser {
         if (!ParseHistogramMap(&out.histograms)) {
           return Corrupt("bad histograms");
         }
-      } else if (key == "trace") {
-        if (!ParseTrace(&out)) return Corrupt("bad trace");
       } else {
         return Corrupt("unknown key '" + key + "'");
       }
@@ -354,26 +336,6 @@ class SnapshotParser {
         }
       }
     });
-  }
-
-  bool ParseTrace(ParsedSnapshot* out) {
-    if (!Consume('{')) return false;
-    bool first = true;
-    while (true) {
-      SkipWs();
-      if (Consume('}')) return true;
-      if (!first && !Consume(',')) return false;
-      first = false;
-      std::string key;
-      if (!ParseString(&key) || !Consume(':')) return false;
-      if (key == "recorded") {
-        if (!ParseU64(&out->trace_recorded)) return false;
-      } else if (key == "dropped") {
-        if (!ParseU64(&out->trace_dropped)) return false;
-      } else {
-        return false;
-      }
-    }
   }
 
   std::string_view s_;

@@ -11,12 +11,11 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
-/// Snapshot exporter: renders the registry (and the trace recorder's
-/// drop/record totals) as human text or a versioned JSON document, and
-/// writes the JSON with the manifest's temp-file+rename discipline so a
-/// reader never observes a torn snapshot.
+/// Snapshot exporter: renders the registry as human text or a versioned
+/// JSON document, and writes the JSON with the manifest's
+/// temp-file+rename discipline so a reader never observes a torn
+/// snapshot.
 ///
 /// Consistency caveat (DESIGN.md §10): a snapshot reads each instrument
 /// atomically but does not stop the writers, so two instruments in one
@@ -26,25 +25,24 @@
 
 namespace operb::obs {
 
-/// Bumped whenever the JSON layout changes shape.
-inline constexpr int kSnapshotSchemaVersion = 1;
+/// Bumped whenever the JSON layout changes shape (v2 dropped v1's
+/// "trace" block).
+inline constexpr int kSnapshotSchemaVersion = 2;
 inline constexpr std::string_view kSnapshotSchemaName =
     "operb-metrics-snapshot";
 
-/// What to render. Null members default to the process-wide instances.
+/// What to render. A null registry defaults to the process-wide one.
 struct SnapshotOptions {
   const MetricsRegistry* registry = nullptr;
-  const TraceRecorder* recorder = nullptr;
 };
 
 /// Human-readable dump, one instrument per line, sorted by name.
 std::string RenderSnapshotText(const SnapshotOptions& options = {});
 
 /// Versioned JSON document (sorted names, stable layout):
-///   {"schema": "operb-metrics-snapshot", "schema_version": 1,
+///   {"schema": "operb-metrics-snapshot", "schema_version": 2,
 ///    "counters": {...}, "gauges": {...}, "max_gauges": {...},
-///    "histograms": {name: {"count": N, "sum": N, "buckets": [...]}},
-///    "trace": {"recorded": N, "dropped": N}}
+///    "histograms": {name: {"count": N, "sum": N, "buckets": [...]}}}
 std::string RenderSnapshotJson(const SnapshotOptions& options = {});
 
 /// Writes `content` to `path` atomically: `path.tmp` then rename. Used
@@ -79,8 +77,6 @@ struct ParsedSnapshot {
   std::map<std::string, std::int64_t> gauges;
   std::map<std::string, std::int64_t> max_gauges;
   std::map<std::string, Histogram> histograms;
-  std::uint64_t trace_recorded = 0;
-  std::uint64_t trace_dropped = 0;
 };
 
 /// Parses a RenderSnapshotJson document. Tolerates arbitrary

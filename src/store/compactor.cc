@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/trace.h"
 #include "store/segment_file.h"
 #include "store/store_metrics.h"
 
@@ -259,7 +258,6 @@ Result<CompactionStats> Compactor::Run() {
   obs::ScopedTimer pass_timer(obs::kMetricsEnabled
                                   ? GetStoreWriteMetrics().compaction_pass_ns
                                   : nullptr);
-  obs::TraceSpan span("store.compaction.run");
   CompactionStats stats;
   std::uint32_t num_shards = 0;
   {

@@ -136,6 +136,30 @@ std::size_t CountLines(std::string_view content) {
          (content.empty() || content.back() == '\n' ? 0 : 1);
 }
 
+/// The one `x,y,t` row loop behind ParseCsv and ParseCsvPoints: skips
+/// blank and `#` comment lines, parses each remaining row and hands it
+/// to `row(point, lineno)`, stopping at the first non-OK Status it
+/// returns. A malformed row is Corruption naming its 1-based line.
+template <typename RowFn>
+Status ForEachCsvRow(std::string_view content, RowFn&& row) {
+  LineScanner scanner{content};
+  std::string_view line;
+  while (scanner.Next(&line)) {
+    if (IsBlankOrComment(line)) continue;
+    const char* p = line.data();
+    const char* end = line.data() + line.size();
+    double x = 0.0, y = 0.0, t = 0.0;
+    if (!(ParseDouble(&p, end, &x) && ConsumeComma(&p, end) &&
+          ParseDouble(&p, end, &y) && ConsumeComma(&p, end) &&
+          ParseDouble(&p, end, &t))) {
+      return Status::Corruption("malformed CSV row at line " +
+                                std::to_string(scanner.lineno()));
+    }
+    OPERB_RETURN_IF_ERROR(row(geo::Point{x, y, t}, scanner.lineno()));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string WriteCsvString(const Trajectory& trajectory) {
@@ -163,25 +187,13 @@ Status WriteCsv(const Trajectory& trajectory, const std::string& path) {
 Result<Trajectory> ParseCsv(const std::string& content) {
   Trajectory out;
   out.reserve(CountLines(content));
-  LineScanner scanner{content};
-  std::string_view line;
-  while (scanner.Next(&line)) {
-    if (IsBlankOrComment(line)) continue;
-    const char* p = line.data();
-    const char* end = line.data() + line.size();
-    double x = 0.0, y = 0.0, t = 0.0;
-    if (!(ParseDouble(&p, end, &x) && ConsumeComma(&p, end) &&
-          ParseDouble(&p, end, &y) && ConsumeComma(&p, end) &&
-          ParseDouble(&p, end, &t))) {
-      return Status::Corruption("malformed CSV row at line " +
-                                std::to_string(scanner.lineno()));
-    }
-    Status st = out.Append({x, y, t});
-    if (!st.ok()) {
-      return Status::Corruption("line " + std::to_string(scanner.lineno()) +
-                                ": " + st.message());
-    }
-  }
+  OPERB_RETURN_IF_ERROR(ForEachCsvRow(
+      content, [&out](const geo::Point& p, std::size_t lineno) {
+        Status st = out.Append(p);
+        if (st.ok()) return st;
+        return Status::Corruption("line " + std::to_string(lineno) + ": " +
+                                  st.message());
+      }));
   return out;
 }
 
@@ -193,21 +205,11 @@ Result<Trajectory> ReadCsv(const std::string& path) {
 Result<std::vector<geo::Point>> ParseCsvPoints(const std::string& content) {
   std::vector<geo::Point> out;
   out.reserve(CountLines(content));
-  LineScanner scanner{content};
-  std::string_view line;
-  while (scanner.Next(&line)) {
-    if (IsBlankOrComment(line)) continue;
-    const char* p = line.data();
-    const char* end = line.data() + line.size();
-    double x = 0.0, y = 0.0, t = 0.0;
-    if (!(ParseDouble(&p, end, &x) && ConsumeComma(&p, end) &&
-          ParseDouble(&p, end, &y) && ConsumeComma(&p, end) &&
-          ParseDouble(&p, end, &t))) {
-      return Status::Corruption("malformed CSV row at line " +
-                                std::to_string(scanner.lineno()));
-    }
-    out.push_back({x, y, t});
-  }
+  OPERB_RETURN_IF_ERROR(
+      ForEachCsvRow(content, [&out](const geo::Point& p, std::size_t) {
+        out.push_back(p);
+        return Status::OK();
+      }));
   return out;
 }
 

@@ -1,8 +1,7 @@
 // The obs subsystem's own contract tests: striped counters and log2
 // histograms stay exact under concurrent hammering (run under TSan in
-// CI), bucket boundaries are bit-exact powers of two, trace rings
-// overwrite oldest-first with a drop count, and a JSON snapshot
-// round-trips through the hand-written parser value-for-value.
+// CI), bucket boundaries are bit-exact powers of two, and a JSON
+// snapshot round-trips through the hand-written parser value-for-value.
 
 #include <atomic>
 #include <cstdint>
@@ -14,7 +13,6 @@
 
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
-#include "obs/trace.h"
 
 namespace operb::obs {
 namespace {
@@ -191,55 +189,8 @@ TEST(ObsRegistryTest, ConcurrentGetOrCreateReturnsOnePointerPerName) {
   EXPECT_EQ(seen[0]->Value(), static_cast<std::uint64_t>(kThreads));
 }
 
-TEST(ObsTraceTest, RingOverwritesOldestAndCountsDrops) {
-  TraceRecorder recorder(/*ring_capacity=*/4);
-  static const char* const kNames[] = {"e0", "e1", "e2", "e3", "e4", "e5"};
-  for (int i = 0; i < 6; ++i) {
-    recorder.Record({kNames[i], i, i + 10});
-  }
-  EXPECT_EQ(recorder.recorded(), 6u);
-  EXPECT_EQ(recorder.dropped(), 2u);
-  const std::vector<TraceEvent> events = recorder.Drain();
-  ASSERT_EQ(events.size(), 4u);  // e0/e1 were overwritten
-  EXPECT_STREQ(events[0].name, "e2");
-  EXPECT_STREQ(events[1].name, "e3");
-  EXPECT_STREQ(events[2].name, "e4");
-  EXPECT_STREQ(events[3].name, "e5");
-  EXPECT_EQ(events[3].start_ns, 5);
-  EXPECT_EQ(events[3].end_ns, 15);
-  // Drain clears the rings but keeps the cumulative totals.
-  EXPECT_TRUE(recorder.Drain().empty());
-  EXPECT_EQ(recorder.recorded(), 6u);
-  EXPECT_EQ(recorder.dropped(), 2u);
-}
-
-TEST(ObsTraceTest, DrainSeesEveryThreadsRingAfterWorkersExit) {
-  TraceRecorder recorder(/*ring_capacity=*/64);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 16;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&recorder] {
-      for (int j = 0; j < kPerThread; ++j) {
-        TraceSpan span("worker.op", &recorder);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const std::vector<TraceEvent> events = recorder.Drain();
-  EXPECT_EQ(events.size(),
-            static_cast<std::size_t>(kThreads) * kPerThread);
-  EXPECT_EQ(recorder.dropped(), 0u);
-  for (const TraceEvent& e : events) {
-    EXPECT_STREQ(e.name, "worker.op");
-    EXPECT_GE(e.end_ns, e.start_ns);
-  }
-}
-
 TEST(ObsSnapshotTest, JsonRoundTripsValueForValue) {
   MetricsRegistry r;
-  TraceRecorder recorder(/*ring_capacity=*/2);
   r.GetCounter("a.count")->Add(123);
   r.GetCounter("b.count")->Add(0);
   r.GetGauge("lvl")->Add(-5);
@@ -248,16 +199,13 @@ TEST(ObsSnapshotTest, JsonRoundTripsValueForValue) {
   h->Record(0);
   h->Record(9);
   h->Record(1 << 20);
-  recorder.Record({"s1", 1, 2});
-  recorder.Record({"s2", 3, 4});
-  recorder.Record({"s3", 5, 6});  // overwrites s1
 
-  const SnapshotOptions options{&r, &recorder};
+  const SnapshotOptions options{&r};
   const std::string json = RenderSnapshotJson(options);
   const auto parsed = ParseSnapshotJson(json);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->schema, kSnapshotSchemaName);
-  EXPECT_EQ(parsed->schema_version, kSnapshotSchemaVersion);
+  EXPECT_EQ(parsed->schema_version, 2);
   EXPECT_EQ(parsed->counters.at("a.count"), 123u);
   EXPECT_EQ(parsed->counters.at("b.count"), 0u);
   EXPECT_EQ(parsed->gauges.at("lvl"), -5);
@@ -269,8 +217,6 @@ TEST(ObsSnapshotTest, JsonRoundTripsValueForValue) {
   EXPECT_EQ(ph.buckets[0], 1u);   // 0
   EXPECT_EQ(ph.buckets[4], 1u);   // 9 -> bit_width 4
   EXPECT_EQ(ph.buckets[21], 1u);  // 2^20 -> bit_width 21
-  EXPECT_EQ(parsed->trace_recorded, 3u);
-  EXPECT_EQ(parsed->trace_dropped, 1u);
 
   // The text rendering carries the same instruments (spot check).
   const std::string text = RenderSnapshotText(options);
@@ -280,8 +226,7 @@ TEST(ObsSnapshotTest, JsonRoundTripsValueForValue) {
 
 TEST(ObsSnapshotTest, EmptyRegistryRoundTrips) {
   MetricsRegistry r;
-  TraceRecorder recorder;
-  const auto parsed = ParseSnapshotJson(RenderSnapshotJson({&r, &recorder}));
+  const auto parsed = ParseSnapshotJson(RenderSnapshotJson({&r}));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_TRUE(parsed->counters.empty());
   EXPECT_TRUE(parsed->histograms.empty());
@@ -290,8 +235,7 @@ TEST(ObsSnapshotTest, EmptyRegistryRoundTrips) {
 TEST(ObsSnapshotTest, ParserRejectsMalformedDocuments) {
   MetricsRegistry r;
   r.GetCounter("c")->Add(1);
-  TraceRecorder recorder;
-  const std::string good = RenderSnapshotJson({&r, &recorder});
+  const std::string good = RenderSnapshotJson({&r});
 
   // Truncation, trailing garbage, a wrong schema name and an unknown
   // top-level key must all surface as Corruption, never a crash.
@@ -305,19 +249,27 @@ TEST(ObsSnapshotTest, ParserRejectsMalformedDocuments) {
   EXPECT_FALSE(ParseSnapshotJson("{\"schema\": \"operb-metrics-snapshot\", "
                                  "\"unknown_key\": 1}")
                    .ok());
+  // Schema v1's "trace" block is gone; a v1 document is rejected.
+  std::string v1_trace = good;
+  v1_trace.insert(v1_trace.rfind('}'),
+                  ",\n  \"trace\": {\"recorded\": 0, \"dropped\": 0}\n");
+  const auto v1 = ParseSnapshotJson(v1_trace);
+  ASSERT_FALSE(v1.ok());
+  EXPECT_NE(v1.status().message().find("unknown key 'trace'"),
+            std::string::npos)
+      << v1.status().ToString();
   EXPECT_FALSE(ParseSnapshotJson("").ok());
 }
 
 TEST(ObsSnapshotTest, WriteSnapshotJsonUsesInjectedWriter) {
   MetricsRegistry r;
   r.GetCounter("c")->Add(9);
-  TraceRecorder recorder;
 
   // Success path: the injected writer observes the rendered document.
   std::string written_path;
   std::string written_content;
   const Status ok = WriteSnapshotJson(
-      "snapshot.json", {&r, &recorder},
+      "snapshot.json", {&r},
       [&](const std::string& path, std::string_view content) {
         written_path = path;
         written_content = std::string(content);
@@ -331,7 +283,7 @@ TEST(ObsSnapshotTest, WriteSnapshotJsonUsesInjectedWriter) {
 
   // Failure path: the writer's status comes back verbatim.
   const Status failed = WriteSnapshotJson(
-      "snapshot.json", {&r, &recorder},
+      "snapshot.json", {&r},
       [](const std::string&, std::string_view) {
         return Status::IOError("disk on fire");
       });
@@ -341,9 +293,8 @@ TEST(ObsSnapshotTest, WriteSnapshotJsonUsesInjectedWriter) {
 
 TEST(ObsSnapshotTest, AtomicWriteFileRejectsUnwritablePath) {
   MetricsRegistry r;
-  TraceRecorder recorder;
   const Status s = WriteSnapshotJson(
-      "/nonexistent-operb-dir/snapshot.json", {&r, &recorder});
+      "/nonexistent-operb-dir/snapshot.json", {&r});
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kIOError);
 }

@@ -382,11 +382,18 @@ TEST(ServerFaultTest, FailedSealsKeepServingAndLeaveAReopenableStore) {
     auto server = server::TrajectoryServer::Start(options, 0);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     ASSERT_TRUE((*server)->Ingest(feed).ok());
+    // An all-covering query barriers every shard, so the overlay holds
+    // the feed's segments and the seal below has writes to fault.
+    ASSERT_TRUE(
+        (*server)->QueryWindow(EverythingBox(), -kAllTime, kAllTime, false)
+            .ok());
 
     env.ArmFault(store::FaultInjectingEnv::FaultKind::kError, fail_at);
     auto sealed = (*server)->Seal();
+    // Read before Disarm(), which clears the fired flag.
+    const bool fired = env.fault_fired();
     env.Disarm();
-    if (!env.fault_fired()) {
+    if (!fired) {
       // The seal finished in fewer ops; nothing to assert for this k.
       EXPECT_TRUE(sealed.ok());
       EXPECT_TRUE((*server)->Stop().ok());

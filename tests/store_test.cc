@@ -401,6 +401,76 @@ TEST(StoreTest, WindowQuerySkipsBlocksOnFooterMetadata) {
   EXPECT_EQ(none_stats.blocks_skipped, none_stats.blocks_total);
 }
 
+TEST(StoreTest, SpreadFleetWindowPrunesThroughTheIndex) {
+  // A fleet of 16 SerCar objects x 200 points, laid out 50 km apart and
+  // appended object-major into 2 shards of 4 KiB blocks, so block
+  // footers carve the fleet spatially. A window over the first object's
+  // area must skip blocks on footer metadata, account for every sealed
+  // block, reach its answer through at most 25% as many R-tree nodes as
+  // the flat scan tests footers, and a compaction pass must not grow the
+  // file count. (Indexed == flat answers and compaction-invariant
+  // answers are pinned by StoreShardingTest and StoreCompactionTest.)
+  constexpr std::size_t kObjects = 16;
+  constexpr std::size_t kPointsPerObject = 200;
+  constexpr std::uint64_t kSeed = 20170401;
+  constexpr double kZeta = 40.0;
+  const std::string path = TempPath("store_spread_fleet.store");
+  const auto simplifier = testutil::MakeStreaming("OPERB", kZeta);
+  std::vector<traj::TimedSegment> segments;
+  geo::BoundingBox first_region;
+  for (std::size_t k = 0; k < kObjects; ++k) {
+    traj::Trajectory t = testutil::Generated(datagen::DatasetKind::kSerCar,
+                                             kPointsPerObject, kSeed + k);
+    for (geo::Point& p : t.mutable_points()) {
+      p.x += static_cast<double>(k) * 50000.0;
+    }
+    if (k == 0) {
+      for (const geo::Point& p : t) first_region.Extend(p.pos());
+    }
+    simplifier->SetSink([&](const traj::RepresentedSegment& s) {
+      segments.push_back({k, s, t[s.first_index].t, t[s.last_index].t});
+    });
+    simplifier->Push(std::span<const geo::Point>(t.points()));
+    simplifier->Finish();
+    simplifier->Reset();
+  }
+
+  store::StoreWriterOptions options;
+  options.zeta = kZeta;
+  options.block_budget_bytes = 4096;
+  options.num_shards = 2;
+  auto writer = store::StoreWriter::Create(path, options);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  for (const traj::TimedSegment& s : segments) {
+    ASSERT_TRUE(writer.value()->Append(s).ok());
+  }
+  ASSERT_TRUE(writer.value()->Close().ok());
+  const std::uint64_t blocks_written = writer.value()->stats().blocks;
+
+  const auto reader = store::StoreReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  store::StoreQueryStats indexed;
+  ASSERT_TRUE(reader.value()
+                  ->QueryWindow(first_region, -kInf, kInf, &indexed,
+                                store::ScanMode::kIndexed)
+                  .ok());
+  store::StoreQueryStats flat;
+  ASSERT_TRUE(reader.value()
+                  ->QueryWindow(first_region, -kInf, kInf, &flat,
+                                store::ScanMode::kFlatScan)
+                  .ok());
+  EXPECT_GE(indexed.blocks_skipped, 1u);
+  EXPECT_EQ(indexed.blocks_skipped + indexed.blocks_scanned, blocks_written);
+  const std::uint64_t flat_footers = flat.blocks_skipped + flat.blocks_scanned;
+  EXPECT_LE(indexed.index_nodes_visited * 4, flat_footers)
+      << indexed.index_nodes_visited << " index nodes against "
+      << flat_footers << " flat-scanned footers";
+
+  const auto compacted = store::Compactor(path).Run();
+  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+  EXPECT_LE(compacted->files_after, compacted->files_before);
+}
+
 TEST(StoreTest, ReopenAfterTruncationDropsOnlyTheTail) {
   const std::string path = TempPath("store_truncate.store");
   const traj::Trajectory t =

@@ -243,6 +243,28 @@ TEST_F(IoTest, ParseCsvSkipsCommentsAndBlanks) {
   EXPECT_EQ(r->size(), 2u);
 }
 
+TEST_F(IoTest, MalformedRowErrorNamesItsFileLineForBothParsers) {
+  // Comment and blank lines count toward the line number: the bad row
+  // is line 4 of the content, not the third data row.
+  const std::string content = "0,0,0\n# comment\n\n1,oops,1\n2,2,2\n";
+  const auto trajectory = ParseCsv(content);
+  ASSERT_FALSE(trajectory.ok());
+  EXPECT_EQ(trajectory.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(trajectory.status().message(), "malformed CSV row at line 4");
+  const auto points = ParseCsvPoints(content);
+  ASSERT_FALSE(points.ok());
+  EXPECT_EQ(points.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(points.status().message(), "malformed CSV row at line 4");
+}
+
+TEST_F(IoTest, NonMonotonicRowErrorNamesItsFileLine) {
+  const auto r = ParseCsv("# x,y,t\n0,0,5\n# comment\n1,1,4\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(r.status().message().rfind("line 4: ", 0), 0u)
+      << r.status().message();
+}
+
 TEST_F(IoTest, GeoLifePltParses) {
   const std::string plt =
       "Geolife trajectory\nWGS 84\nAltitude is in Feet\nReserved 3\n"

@@ -153,7 +153,7 @@ tools::FlagTable CliFlags(CliOptions* o) {
   constexpr std::string_view kQry = "Store queries:";
   constexpr std::string_view kOut = "Output:";
   constexpr std::string_view kObs =
-      "Observability (see DESIGN.md \"Metrics and tracing\"):";
+      "Observability (see DESIGN.md \"Metrics and snapshots\"):";
   constexpr std::string_view kCli =
       "Server client (speaks to a running operb_server):";
 
