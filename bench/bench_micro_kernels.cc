@@ -192,19 +192,23 @@ void BM_FittingActivate(benchmark::State& state) {
 }
 BENCHMARK(BM_FittingActivate);
 
+/// Per-point Push; segments go straight to a counting sink.
 void BM_OperbStreamPush(benchmark::State& state) {
   const auto t = BenchTrajectory(20000);
   for (auto _ : state) {
     core::OperbStream stream(core::OperbOptions::Optimized(40.0));
+    std::size_t segments = 0;
+    stream.SetSink(
+        [&segments](const traj::RepresentedSegment&) { ++segments; });
     for (const geo::Point& p : t) stream.Push(p);
     stream.Finish();
-    benchmark::DoNotOptimize(stream.emitted().size());
+    benchmark::DoNotOptimize(segments);
   }
   state.SetItemsProcessed(state.iterations() * t.size());
 }
 BENCHMARK(BM_OperbStreamPush);
 
-/// Zero-allocation emission: segments go straight to a counting sink.
+/// Batch Push(span) into a counting sink.
 void BM_OperbStreamPushSink(benchmark::State& state) {
   const auto t = BenchTrajectory(20000);
   for (auto _ : state) {
@@ -224,9 +228,12 @@ void BM_OperbAStreamPush(benchmark::State& state) {
   const auto t = BenchTrajectory(20000);
   for (auto _ : state) {
     core::OperbAStream stream(core::OperbAOptions::Optimized(40.0));
+    std::size_t segments = 0;
+    stream.SetSink(
+        [&segments](const traj::RepresentedSegment&) { ++segments; });
     for (const geo::Point& p : t) stream.Push(p);
     stream.Finish();
-    benchmark::DoNotOptimize(stream.stats().patches_applied);
+    benchmark::DoNotOptimize(segments);
   }
   state.SetItemsProcessed(state.iterations() * t.size());
 }

@@ -1,7 +1,7 @@
 // bench_throughput: in-process measurements nothing else in the repo
-// takes — the sink-path constants of every algorithm, the overhead gates
-// on the facade and the obs instruments, engine checkpoint/restore and
-// the live server's client-thread sweep.
+// takes — the sink-path constants of every algorithm, the batched-path
+// and obs-instrument gates, engine checkpoint/restore and the live
+// server's client-thread sweep.
 //
 // Emits machine-readable BENCH_throughput.json (schema documented in
 // README.md "Performance"; validated by validate_throughput_json.py):
@@ -11,22 +11,15 @@
 //   batched_vs_pointwise — OPERB's staged Push(span) against per-point
 //                        Push on each profile plus a dense GeoLife
 //                        variant; output hashes must match, and in full
-//                        mode the dense row must run >= 2x faster
-//   facade_overhead    — the same steady-state sink loop on a directly
-//                        built core::OperbStream vs on the
-//                        api::AlgorithmRegistry product of a spec
-//                        string; the run FAILS if the facade path is
-//                        measurably slower (construction happens once,
-//                        outside the loop, and the product wraps the
-//                        same stream behind one virtual call per span,
-//                        so any steady-state gap is a bug)
+//                        mode the dense row's median speedup must be
+//                        >= 2x
 //   metrics_overhead   — the same steady-state sink loop plain vs
 //                        instrumented the way the engine batches its
 //                        obs updates (per ~64-point Counter::Add +
 //                        MaxGauge::Observe, one histogram Record per
 //                        pass); the run FAILS if live metrics cost the
-//                        hot loop more than 3% over the plain loop
-//                        (which is what an OPERB_NO_METRICS build
+//                        hot loop more than 3% (median) over the plain
+//                        loop (which is what an OPERB_NO_METRICS build
 //                        compiles the instrumentation down to)
 //   checkpoint         — StreamEngine::Checkpoint on a live engine
 //                        halfway through a fleet feed: snapshot write
@@ -44,12 +37,16 @@
 // runs and spreads; this harness does not time them again.
 //
 // Every simplifier-bearing record carries the resolved canonical spec
-// string of what ran (schema version 11).
+// string of what ran (schema version 12). Both timing gates run N
+// interleaved, paired rounds (alternating which side goes first) and are
+// judged on the median of the per-round ratios; the JSON records that
+// median and the ratios' interquartile range, so one lucky or unlucky
+// sample neither passes nor fails a gate.
 //
 // `--smoke` shrinks every dataset to a single fast pass (for CI), `--out
-// PATH` overrides the default ./BENCH_throughput.json. The timing gates
-// (facade, metrics) are judged after the JSON is written, so a failing
-// run still leaves its numbers behind.
+// PATH` overrides the default ./BENCH_throughput.json. The metrics gate
+// is judged after the JSON is written, so a failing run still leaves its
+// numbers behind.
 //
 // Exit codes: 0 success, 1 failed gate or write failure, 2 usage error.
 
@@ -61,7 +58,7 @@
 #include <cstring>
 #include <ctime>
 #include <filesystem>
-#include <limits>
+#include <utility>
 #include <memory>
 #include <span>
 #include <string>
@@ -137,6 +134,52 @@ struct JsonRecord {
     text += "\": ";
   }
 };
+
+/// Median and interquartile range of `v` (quartiles by linear
+/// interpolation between order statistics). `v` must be non-empty.
+struct Spread {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+
+Spread MedianAndIqr(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto quantile = [&v](double q) {
+    const double at = q * static_cast<double>(v.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(at);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (at - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  return {quantile(0.5), quantile(0.75) - quantile(0.25)};
+}
+
+/// Seconds of each side over `rounds` paired rounds; the side that runs
+/// first alternates, so neither inherits the other's warm (or throttled)
+/// state systematically. `a` and `b` return the seconds they measured.
+template <typename A, typename B>
+std::pair<std::vector<double>, std::vector<double>> PairedRounds(int rounds,
+                                                                 A&& a, B&& b) {
+  std::vector<double> a_s(static_cast<std::size_t>(rounds));
+  std::vector<double> b_s(static_cast<std::size_t>(rounds));
+  for (std::size_t r = 0; r < a_s.size(); ++r) {
+    if (r % 2 == 0) {
+      a_s[r] = a();
+      b_s[r] = b();
+    } else {
+      b_s[r] = b();
+      a_s[r] = a();
+    }
+  }
+  return {std::move(a_s), std::move(b_s)};
+}
+
+/// Element-wise num[i] / den[i].
+std::vector<double> Ratios(const std::vector<double>& num,
+                           const std::vector<double>& den) {
+  std::vector<double> out(num.size());
+  for (std::size_t i = 0; i < num.size(); ++i) out[i] = num[i] / den[i];
+  return out;
+}
 
 std::string JoinRecords(const std::vector<JsonRecord>& records) {
   std::string out = "[";
@@ -241,30 +284,21 @@ int main(int argc, char** argv) {
   // Push(span) buys over per-point Push — OPERB paper-faithful on each
   // stock profile plus a dense high-rate GeoLife variant (~0.3 s
   // sampling, ~300 points/segment) whose long extend runs are the
-  // batched path's target workload. Interleaved min-of-N: on throttling
-  // machines the interleaved ratio stays stable even when absolute
-  // numbers wobble. The hash covers the emitted segment bytes; the two
-  // paths must produce identical streams (bit-identity gate).
+  // batched path's target workload. Paired rounds, judged on the median
+  // per-round speedup: on throttling machines the paired ratio stays
+  // stable even when absolute numbers wobble. The hash covers the
+  // emitted segment bytes; the two paths must produce identical streams
+  // (bit-identity gate).
   // ------------------------------------------------------------------
   std::vector<JsonRecord> batched_rows;
   {
     const int rounds = smoke ? 3 : 25;
-    const auto min_of = [&](auto&& pointwise_fn, auto&& batched_fn) {
-      double best_pointwise = std::numeric_limits<double>::infinity();
-      double best_batched = std::numeric_limits<double>::infinity();
-      for (int r = 0; r < rounds; ++r) {
-        {
-          Stopwatch w;
-          pointwise_fn();
-          best_pointwise = std::min(best_pointwise, w.ElapsedSeconds());
-        }
-        {
-          Stopwatch w;
-          batched_fn();
-          best_batched = std::min(best_batched, w.ElapsedSeconds());
-        }
-      }
-      return std::pair<double, double>{best_pointwise, best_batched};
+    const auto seconds_of = [](auto& fn) {
+      return [&fn] {
+        Stopwatch w;
+        fn();
+        return w.ElapsedSeconds();
+      };
     };
     char hex[32];
     const auto hex_str = [&hex](std::uint64_t h) {
@@ -337,7 +371,12 @@ int main(int argc, char** argv) {
       run_batched();
       const std::uint64_t hash_batched = hash;
 
-      const auto [pointwise_s, batched_s] = min_of(run_pointwise, run_batched);
+      const auto [pointwise_runs, batched_runs] = PairedRounds(
+          rounds, seconds_of(run_pointwise), seconds_of(run_batched));
+      const double pointwise_s = MedianAndIqr(pointwise_runs).median;
+      const double batched_s = MedianAndIqr(batched_runs).median;
+      const Spread speedup =
+          MedianAndIqr(Ratios(pointwise_runs, batched_runs));
 
       JsonRecord rec;
       rec.Str("name", c.name);
@@ -347,94 +386,19 @@ int main(int argc, char** argv) {
               static_cast<double>(total) / pointwise_s);
       rec.Num("batched_points_per_sec",
               static_cast<double>(total) / batched_s);
-      rec.Num("speedup", pointwise_s / batched_s);
+      rec.Num("speedup_median", speedup.median);
+      rec.Num("speedup_iqr", speedup.iqr);
       rec.Str("hash_pointwise", hex_str(hash_pointwise));
       rec.Str("hash_batched", hex_str(hash_batched));
       rec.Int("hash_match", hash_pointwise == hash_batched ? 1 : 0);
       batched_rows.push_back(rec);
       std::printf(
-          "batched %-13s pointwise %7.2fM -> batched %7.2fM pts/s  %4.2fx  "
-          "%zu segs  hashes %s\n",
+          "batched %-13s pointwise %7.2fM -> batched %7.2fM pts/s  %4.2fx "
+          "(IQR %.2f)  %zu segs  hashes %s\n",
           c.name.c_str(), static_cast<double>(total) / pointwise_s / 1e6,
-          static_cast<double>(total) / batched_s / 1e6,
-          pointwise_s / batched_s, segments_pointwise,
+          static_cast<double>(total) / batched_s / 1e6, speedup.median,
+          speedup.iqr, segments_pointwise,
           hash_pointwise == hash_batched ? "match" : "DIVERGE");
-    }
-  }
-
-  // ------------------------------------------------------------------
-  // Facade overhead: the registry product must add zero steady-state
-  // cost over the core::OperbStream it wraps. Both loops run the same
-  // stream code, the product adding one virtual call per span; the
-  // tolerance below only absorbs scheduling noise. A real regression here
-  // means the facade leaked into the per-point path.
-  // ------------------------------------------------------------------
-  std::vector<JsonRecord> facade;
-  {
-    const auto dataset = bench::MakeDataset(datagen::DatasetKind::kSerCar, 2,
-                                            smoke ? 400 : 100000);
-    const std::size_t total = bench::TotalPoints(dataset);
-    // The paper-faithful OPERB configuration the spec below names.
-    core::OperbOptions direct_options = core::OperbOptions::Optimized(kZeta);
-    direct_options.strict_bound_guard = false;
-    core::OperbStream direct(direct_options);
-    auto via_registry = api::AlgorithmRegistry::Global().MakeStreaming(
-        "OPERB:zeta=40,fidelity=paper");
-    if (!via_registry.ok()) {
-      std::fprintf(stderr, "bench_throughput: %s\n",
-                   via_registry.status().ToString().c_str());
-      return 1;
-    }
-    baselines::StreamingSimplifier& product = **via_registry;
-    std::size_t segments = 0;
-    const auto count = [&segments](const traj::RepresentedSegment&) {
-      ++segments;
-    };
-    direct.SetSink(count);
-    product.SetSink(count);
-    // The same loop over either stream type: static dispatch for the
-    // direct stream, virtual for the registry product.
-    const auto run_sink_loop = [&dataset, &segments](auto& stream) {
-      return TimeLoop([&] {
-        segments = 0;
-        for (const traj::Trajectory& t : dataset) {
-          stream.Push(std::span<const geo::Point>(t.points()));
-          stream.Finish();
-          stream.Reset();
-        }
-      });
-    };
-    // Best of 3 per path, interleaved, so one scheduler hiccup cannot
-    // fake a regression.
-    double direct_s = 1e99;
-    double facade_s = 1e99;
-    for (int round = 0; round < 3; ++round) {
-      direct_s = std::min(direct_s, run_sink_loop(direct).seconds_per_pass);
-      facade_s = std::min(facade_s, run_sink_loop(product).seconds_per_pass);
-    }
-    const double overhead_pct = 100.0 * (facade_s / direct_s - 1.0);
-    JsonRecord rec;
-    rec.Str("algorithm", "OPERB");
-    rec.Str("spec", "OPERB:zeta=40,fidelity=paper");
-    rec.Str("profile", "SerCar");
-    rec.Int("points", static_cast<long long>(total));
-    rec.Num("direct_points_per_sec", static_cast<double>(total) / direct_s);
-    rec.Num("facade_points_per_sec", static_cast<double>(total) / facade_s);
-    rec.Num("overhead_pct", overhead_pct);
-    facade.push_back(rec);
-    std::printf("facade overhead: direct %.2f M pts/s, registry %.2f M "
-                "pts/s (%+.1f%%)\n",
-                static_cast<double>(total) / direct_s / 1e6,
-                static_cast<double>(total) / facade_s / 1e6, overhead_pct);
-    // Smoke datasets run microsecond-scale passes where timer noise
-    // dominates; the full-mode gate is the meaningful one.
-    const double tolerance_pct = smoke ? 50.0 : 10.0;
-    if (overhead_pct > tolerance_pct) {
-      char msg[128];
-      std::snprintf(msg, sizeof(msg),
-                    "facade_overhead: %.1f%% exceeds the %.0f%% gate",
-                    overhead_pct, tolerance_pct);
-      failed_gates.push_back(msg);
     }
   }
 
@@ -496,38 +460,39 @@ int main(int argc, char** argv) {
         pass_ns->Record(static_cast<std::uint64_t>(NowNanos() - start_ns));
       });
     };
-    // Best of 3 per path, interleaved, like the facade gate.
-    double plain_s = 1e99;
-    double instrumented_s = 1e99;
-    for (int round = 0; round < 3; ++round) {
-      plain_s = std::min(plain_s, run_plain().seconds_per_pass);
-      instrumented_s =
-          std::min(instrumented_s, run_instrumented().seconds_per_pass);
-    }
-    const double overhead_pct = 100.0 * (instrumented_s / plain_s - 1.0);
+    const int rounds = smoke ? 3 : 11;
+    const auto [plain_runs, instrumented_runs] = PairedRounds(
+        rounds, [&] { return run_plain().seconds_per_pass; },
+        [&] { return run_instrumented().seconds_per_pass; });
+    const double plain_s = MedianAndIqr(plain_runs).median;
+    const double instrumented_s = MedianAndIqr(instrumented_runs).median;
+    const Spread ratio = MedianAndIqr(Ratios(instrumented_runs, plain_runs));
+    const double overhead_pct = 100.0 * (ratio.median - 1.0);
     JsonRecord rec;
     rec.Str("algorithm", "OPERB");
     rec.Str("spec", "OPERB:zeta=40,fidelity=paper");
     rec.Str("profile", "SerCar");
     rec.Int("points", static_cast<long long>(total));
+    rec.Int("rounds", rounds);
     rec.Int("metrics_compiled_in", obs::kMetricsEnabled ? 1 : 0);
     rec.Num("plain_points_per_sec", static_cast<double>(total) / plain_s);
     rec.Num("instrumented_points_per_sec",
             static_cast<double>(total) / instrumented_s);
-    rec.Num("overhead_pct", overhead_pct);
+    rec.Num("overhead_pct_median", overhead_pct);
+    rec.Num("overhead_pct_iqr", 100.0 * ratio.iqr);
     metrics_records.push_back(rec);
     std::printf("metrics overhead: plain %.2f M pts/s, instrumented "
-                "%.2f M pts/s (%+.1f%%)\n",
+                "%.2f M pts/s (median %+.1f%%, IQR %.1f pp)\n",
                 static_cast<double>(total) / plain_s / 1e6,
                 static_cast<double>(total) / instrumented_s / 1e6,
-                overhead_pct);
+                overhead_pct, 100.0 * ratio.iqr);
     // Smoke datasets run microsecond-scale passes where timer noise
     // dominates; the full-mode 3% gate is the meaningful one.
     const double tolerance_pct = smoke ? 50.0 : 3.0;
     if (overhead_pct > tolerance_pct) {
       char msg[128];
       std::snprintf(msg, sizeof(msg),
-                    "metrics_overhead: %.1f%% exceeds the %.0f%% gate",
+                    "metrics_overhead: median %.1f%% exceeds the %.0f%% gate",
                     overhead_pct, tolerance_pct);
       failed_gates.push_back(msg);
     }
@@ -927,7 +892,7 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n"
                "  \"schema\": \"operb-bench-throughput\",\n"
-               "  \"schema_version\": 11,\n"
+               "  \"schema_version\": 12,\n"
                "  \"smoke\": %s,\n"
                "  \"unix_time\": %lld,\n"
                "  \"zeta\": %g,\n"
@@ -938,8 +903,6 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"steady_state\": %s,\n", JoinRecords(steady).c_str());
   std::fprintf(f, "  \"batched_vs_pointwise\": %s,\n",
                JoinRecords(batched_rows).c_str());
-  std::fprintf(f, "  \"facade_overhead\": %s,\n",
-               JoinRecords(facade).c_str());
   std::fprintf(f, "  \"metrics_overhead\": %s,\n",
                JoinRecords(metrics_records).c_str());
   std::fprintf(f, "  \"checkpoint\": %s,\n",

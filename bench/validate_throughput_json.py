@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
 """Validates BENCH_throughput.json against the operb-bench-throughput
-schema (version 11). Stdlib-only so CI needs no extra packages.
+schema (version 12). Stdlib-only so CI needs no extra packages.
 
-Version 11 drops the ingest, end_to_end, concurrent_streams and store
-sections: perfbench (BENCHMARK.json) measures those layers, and the
-store's pruning and compaction gates live in tests/store_test.cc
-(StoreTest.SpreadFleetWindowPrunesThroughTheIndex).
+Version 12 drops the facade_overhead section (the registry's OPERB
+products are the core streams themselves, so there is no wrapper left to
+time) and judges both timing gates on the median of paired rounds:
+batched_vs_pointwise rows carry speedup_median/speedup_iqr and the
+metrics_overhead row overhead_pct_median/overhead_pct_iqr, each over
+the per-round ratios. Version 11 dropped the ingest, end_to_end,
+concurrent_streams and store sections: perfbench (BENCHMARK.json)
+measures those layers, and the store's pruning and compaction gates live
+in tests/store_test.cc (StoreTest.SpreadFleetWindowPrunesThroughTheIndex).
 
 Beyond shape checks, the checkpoint section (v6) gates on
 output_match == 1: a checkpoint/restore cycle must reproduce the
 uninterrupted run's output exactly. The metrics_overhead section (new in
-v7) gates live obs instrumentation to at most 3% over the plain sink
-loop in full mode (smoke passes are microsecond-scale, so the benchmark
+v7) gates live obs instrumentation to at most 3% (median) over the plain
+sink loop in full mode (smoke passes are microsecond-scale, so the benchmark
 binary applies a looser smoke tolerance of its own; the validator
 re-checks the full-mode bound only when smoke is false). The
 server section (new in v8) gates the live daemon: a full-mode run must
@@ -21,7 +26,7 @@ batched_vs_pointwise section (v10; replaces v9's simd_vs_scalar)
 compares OPERB's staged Push(span) with per-point Push: every row's
 output hash pair must match (bit-identity is non-negotiable in smoke
 and full mode alike), and in full mode the dense GeoLife row must show
-the >= 2x pointwise->batched speedup the staged path claims.
+the >= 2x median pointwise->batched speedup the staged path claims.
 
 Usage: validate_throughput_json.py PATH
 Exit codes: 0 valid, 1 invalid, 2 usage/IO error.
@@ -41,7 +46,6 @@ TOP_LEVEL = {
     "seed": int,
     "steady_state": list,
     "batched_vs_pointwise": list,
-    "facade_overhead": list,
     "metrics_overhead": list,
     "checkpoint": list,
     "server": list,
@@ -64,29 +68,23 @@ SECTION_FIELDS = {
         "rounds": int,
         "pointwise_points_per_sec": NUMBER,
         "batched_points_per_sec": NUMBER,
-        "speedup": NUMBER,
+        "speedup_median": NUMBER,
+        "speedup_iqr": NUMBER,
         "hash_pointwise": str,
         "hash_batched": str,
         "hash_match": int,
-    },
-    "facade_overhead": {
-        "algorithm": str,
-        "spec": str,
-        "profile": str,
-        "points": int,
-        "direct_points_per_sec": NUMBER,
-        "facade_points_per_sec": NUMBER,
-        "overhead_pct": NUMBER,
     },
     "metrics_overhead": {
         "algorithm": str,
         "spec": str,
         "profile": str,
         "points": int,
+        "rounds": int,
         "metrics_compiled_in": int,
         "plain_points_per_sec": NUMBER,
         "instrumented_points_per_sec": NUMBER,
-        "overhead_pct": NUMBER,
+        "overhead_pct_median": NUMBER,
+        "overhead_pct_iqr": NUMBER,
     },
     "checkpoint": {
         "algorithm": str,
@@ -149,7 +147,7 @@ def main():
             fail(f"top-level key '{key}' has wrong type")
     if doc["schema"] != "operb-bench-throughput":
         fail(f"unexpected schema '{doc['schema']}'")
-    if doc["schema_version"] != 11:
+    if doc["schema_version"] != 12:
         fail(f"unexpected schema_version {doc['schema_version']}")
 
     for section, fields in SECTION_FIELDS.items():
@@ -175,7 +173,8 @@ def main():
                 if (entry["points"] <= 0 or entry["rounds"] <= 0
                         or entry["pointwise_points_per_sec"] <= 0
                         or entry["batched_points_per_sec"] <= 0
-                        or entry["speedup"] <= 0):
+                        or entry["speedup_median"] <= 0
+                        or entry["speedup_iqr"] < 0):
                     fail(f"{section}[{i}] has non-positive numbers")
                 if entry["hash_match"] != 1:
                     fail(f"{section}[{i}] ({entry['name']}) pointwise "
@@ -184,26 +183,22 @@ def main():
                     fail(f"{section}[{i}] hash_match claims equality "
                          "but the hashes differ")
                 continue
-            if section == "facade_overhead":
-                if (entry["points"] <= 0
-                        or entry["direct_points_per_sec"] <= 0
-                        or entry["facade_points_per_sec"] <= 0):
-                    fail(f"{section}[{i}] has non-positive throughput")
-                continue
             if section == "metrics_overhead":
-                # Semantic gate (schema v7): live metrics may cost the
-                # steady-state sink loop at most 3%. Smoke passes are
-                # too short for the bound to be meaningful.
-                if (entry["points"] <= 0
+                # Semantic gate (schema v7; median since v12): live
+                # metrics may cost the steady-state sink loop at most 3%.
+                # Smoke passes are too short for the bound to be
+                # meaningful.
+                if (entry["points"] <= 0 or entry["rounds"] <= 0
                         or entry["plain_points_per_sec"] <= 0
-                        or entry["instrumented_points_per_sec"] <= 0):
+                        or entry["instrumented_points_per_sec"] <= 0
+                        or entry["overhead_pct_iqr"] < 0):
                     fail(f"{section}[{i}] has non-positive throughput")
                 if entry["metrics_compiled_in"] not in (0, 1):
                     fail(f"{section}[{i}].metrics_compiled_in must be 0/1")
-                if not doc["smoke"] and entry["overhead_pct"] > 3.0:
-                    fail(f"{section}[{i}] metrics overhead "
-                         f"{entry['overhead_pct']:.1f}% exceeds the 3% "
-                         "gate")
+                if not doc["smoke"] and entry["overhead_pct_median"] > 3.0:
+                    fail(f"{section}[{i}] median metrics overhead "
+                         f"{entry['overhead_pct_median']:.1f}% exceeds the "
+                         "3% gate")
                 continue
             if section == "server":
                 # Semantic gates (schema v8): the daemon must have held
@@ -269,9 +264,9 @@ def main():
     if not dense:
         fail("batched_vs_pointwise is missing the dense-profile row")
     # Timing gate: full mode only (smoke passes are microseconds).
-    if not doc["smoke"] and dense[0]["speedup"] < 2.0:
-        fail(f"dense pointwise->batched speedup "
-             f"{dense[0]['speedup']:.2f}x is below the 2x gate")
+    if not doc["smoke"] and dense[0]["speedup_median"] < 2.0:
+        fail(f"dense pointwise->batched median speedup "
+             f"{dense[0]['speedup_median']:.2f}x is below the 2x gate")
 
     algos = {e["algorithm"] for e in doc["steady_state"]}
     if len(algos) < 10:
@@ -280,13 +275,13 @@ def main():
     if len(server_threads) < 2:
         fail("server must sweep at least 2 client-thread counts")
     # Spec strings must resolve to the algorithm they annotate.
-    for section in ("steady_state", "facade_overhead", "metrics_overhead",
-                    "checkpoint", "server"):
+    for section in ("steady_state", "metrics_overhead", "checkpoint",
+                    "server"):
         for i, entry in enumerate(doc[section]):
             if not entry["spec"].startswith(entry["algorithm"] + ":"):
                 fail(f"{section}[{i}].spec '{entry['spec']}' does not "
                      f"resolve to algorithm '{entry['algorithm']}'")
-    print(f"{sys.argv[1]}: valid operb-bench-throughput v11 "
+    print(f"{sys.argv[1]}: valid operb-bench-throughput v12 "
           f"({len(doc['steady_state'])} steady-state entries, "
           f"{len(batched)} batched-vs-pointwise entries, "
           f"{len(doc['checkpoint'])} checkpoint entries, "

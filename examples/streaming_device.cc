@@ -59,24 +59,20 @@ int main() {
   traj::StreamCleaner cleaner(cleaner_options);
 
   core::OperbAStream compressor(core::OperbAOptions::Optimized(40.0));
-
   std::size_t transmitted_segments = 0;
+  // The sink runs the moment a segment is determined. In a real device
+  // this is the network send; a segment costs one point (its start — the
+  // previous segment supplied the shared end).
+  compressor.SetSink([&transmitted_segments](const traj::RepresentedSegment&) {
+    ++transmitted_segments;
+  });
+
   for (const geo::Point& raw_fix : sensor_stream) {
     const auto clean_fix = cleaner.Push(raw_fix);
     if (!clean_fix.has_value()) continue;  // dropped by the cleaner
     compressor.Push(*clean_fix);
-    for (const traj::RepresentedSegment& segment : compressor.TakeEmitted()) {
-      // In a real device this is the network send; a segment costs one
-      // point (its start — the previous segment supplied the shared end).
-      ++transmitted_segments;
-      (void)segment;
-    }
   }
   compressor.Finish();
-  for (const traj::RepresentedSegment& segment : compressor.TakeEmitted()) {
-    ++transmitted_segments;
-    (void)segment;
-  }
 
   const traj::CleanerStats& cs = cleaner.stats();
   const core::OperbAStats stats = compressor.stats();

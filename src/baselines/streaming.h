@@ -18,8 +18,9 @@ namespace operb::baselines {
 ///  - kGuarded (library default): the O(1) drift guard enforces a hard
 ///    zeta guarantee, at a small compression cost;
 ///  - kPaperFaithful: the paper's heuristics verbatim — what the paper's
-///    figures measured. Bounded in practice on GPS-like data, but without
-///    a worst-case guarantee.
+///    figures measured. No worst-case guarantee: bench_fig18_average_error
+///    measures a worst per-point distance of 1.48·zeta on the Taxi
+///    profile (14.80 m at zeta = 10) and up to 1.39·zeta on GeoLife.
 /// Non-OPERB algorithms are unaffected.
 enum class OperbFidelity { kGuarded, kPaperFaithful };
 
@@ -43,11 +44,13 @@ enum class OperbFidelity { kGuarded, kPaperFaithful };
 ///    keeping its buffers' capacity, so pooled reuse performs no heap
 ///    allocation (asserted by allocation_test for the one-pass family).
 ///
-/// The OPERB-family implementations are truly one-pass (O(1) state,
-/// allocation-free per point on the sink path). The batch baselines (DP,
-/// DP-SED, OPW, OPW-SED, BQS, FBQS) buffer the trajectory and run their
-/// batch algorithm at Finish() — same output, but O(n) state; they exist
-/// so the engine can serve any of the 10 algorithms uniformly.
+/// The sink is the only output: with none installed, segments are
+/// dropped. The OPERB-family implementations (core::OperbStream and
+/// core::OperbAStream, the registry products themselves) are truly
+/// one-pass (O(1) state, allocation-free per point). The batch baselines
+/// (DP, DP-SED, OPW, OPW-SED, BQS, FBQS) buffer the trajectory and run
+/// their batch algorithm at Finish() — same output, but O(n) state; they
+/// exist so the engine can serve any of the 10 algorithms uniformly.
 class StreamingSimplifier {
  public:
   virtual ~StreamingSimplifier() = default;
@@ -79,12 +82,12 @@ class StreamingSimplifier {
 
   /// Appends a versioned, checksummed, byte-stable encoding of the
   /// complete dynamic state: a 4-byte family magic, a version byte, the
-  /// fixed-size field payload, and a trailing FNV-1a64 over all of it —
-  /// the same discipline as the store's block footer. Options and the
-  /// sink are configuration, not state: Deserialize() must run on an
-  /// instance created from the identical SimplifierSpec, which then
-  /// resumes mid-trajectory bit-identically (the engine checkpoint
-  /// contract; see DESIGN.md §9).
+  /// configured zeta, the field payload, and a trailing FNV-1a64 over all
+  /// of it — the same discipline as the store's block footer (framing
+  /// helpers below). Options and the sink are configuration, not state:
+  /// Deserialize() must run on an instance created from the identical
+  /// SimplifierSpec, which then resumes mid-trajectory bit-identically
+  /// (the engine checkpoint contract; see DESIGN.md §9).
   virtual void Serialize(std::vector<std::uint8_t>* out) const = 0;
 
   /// Inverse of Serialize(), advancing `*pos` past the consumed blob.
@@ -93,6 +96,36 @@ class StreamingSimplifier {
   virtual Status Deserialize(std::span<const std::uint8_t> in,
                              std::size_t* pos) = 0;
 };
+
+/// State-blob framing shared by every StreamingSimplifier's Serialize /
+/// Deserialize (the layout documented there). A writer brackets its
+/// payload with BeginState/EndState; a reader runs CheckStateHeader,
+/// decodes the payload, then VerifyStateChecksum. The framed zeta is a
+/// configuration cross-check, not restored state: a blob written under
+/// one error bound must never resume a state built under another.
+/// Version 2 dropped the OPERB family's buffered-emission fields; older
+/// blobs are refused as InvalidArgument.
+inline constexpr std::uint8_t kStateVersion = 2;
+
+/// Appends the header (magic, kStateVersion, zeta) and returns the blob's
+/// start offset for EndState.
+std::size_t BeginState(std::uint32_t magic, double zeta,
+                       std::vector<std::uint8_t>* out);
+
+/// Appends the trailing FNV-1a64 over everything from `start`.
+void EndState(std::size_t start, std::vector<std::uint8_t>* out);
+
+/// Reads the header at `*pos`. Corruption for truncation or a magic other
+/// than `magic` (named after `name`); InvalidArgument for another version
+/// or a zeta that is not bit-equal to `zeta`.
+Status CheckStateHeader(std::uint32_t magic, std::string_view name,
+                        double zeta, std::span<const std::uint8_t> in,
+                        std::size_t* pos);
+
+/// Reads the trailing checksum at `*pos` and checks it against the bytes
+/// from `start`. Corruption on truncation or mismatch.
+Status VerifyStateChecksum(std::span<const std::uint8_t> in,
+                           std::size_t start, std::size_t* pos);
 
 /// Whole-trajectory run: installs a collecting sink, feeds `points` as one
 /// span, finishes, and Reset()s `simplifier` for the next trajectory.

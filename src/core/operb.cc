@@ -29,9 +29,12 @@ struct StageBuffers {
 
 thread_local StageBuffers tls_stage;
 
+constexpr std::uint32_t kOperbStateMagic = 0x5342'504Fu;  // "OPBS"
+
 }  // namespace
 
-OperbStream::OperbStream(const OperbOptions& options) : options_(options) {
+OperbStream::OperbStream(const OperbOptions& options, std::string_view name)
+    : name_(name), options_(options) {
   OPERB_CHECK_MSG(options.Validate().ok(), "invalid OperbOptions");
   // The drift guard is only needed where Theorem 2's proof does not apply:
   // any of the heuristic optimizations (2)-(4), or a non-paper fitting
@@ -49,34 +52,11 @@ void OperbStream::SetSink(traj::SegmentSink sink) {
   sink_ = std::move(sink);
 }
 
-std::vector<traj::RepresentedSegment> OperbStream::TakeEmitted() {
-  std::vector<traj::RepresentedSegment> out;
-  out.swap(emitted_);
-  last_take_size_ = out.size();
-  return out;
-}
-
-void OperbStream::TakeEmitted(std::vector<traj::RepresentedSegment>* out) {
-  out->clear();
-  out->swap(emitted_);  // emitted_ inherits the caller's old capacity
-  last_take_size_ = out->size();
-}
-
 void OperbStream::Emit(const traj::RepresentedSegment& s) {
   last_emitted_ = s;
   any_emitted_ = true;
   ++stats_.segments_emitted;
-  if (sink_) {
-    sink_(s);
-    return;
-  }
-  if (emitted_.capacity() == 0) {
-    // First growth (or a TakeEmitted() that moved the storage out): size
-    // from the emission history instead of libstdc++'s 1-element start — a
-    // polling caller tends to repeat batches of ~last_take_size_ segments.
-    emitted_.reserve(std::max<std::size_t>(8, last_take_size_));
-  }
-  emitted_.push_back(s);
+  if (sink_) sink_(s);
 }
 
 void OperbStream::Push(const geo::Point& p) {
@@ -515,8 +495,6 @@ void OperbStream::StartSegment(geo::Vec2 anchor, std::size_t chain_index,
 
 void OperbStream::Reset() {
   mode_ = Mode::kIdle;
-  emitted_.clear();  // keeps capacity for the next trajectory
-  last_take_size_ = 0;
   stats_ = OperbStats{};
   last_emitted_ = traj::RepresentedSegment{};
   any_emitted_ = false;
@@ -541,12 +519,23 @@ void OperbStream::Reset() {
 }
 
 void OperbStream::Serialize(std::vector<std::uint8_t>* out) const {
+  const std::size_t start =
+      baselines::BeginState(kOperbStateMagic, options_.zeta, out);
+  SerializeFields(out);
+  baselines::EndState(start, out);
+}
+
+Status OperbStream::Deserialize(std::span<const std::uint8_t> in,
+                                std::size_t* pos) {
+  const std::size_t start = *pos;
+  OPERB_RETURN_IF_ERROR(baselines::CheckStateHeader(
+      kOperbStateMagic, name_, options_.zeta, in, pos));
+  OPERB_RETURN_IF_ERROR(DeserializeFields(in, pos));
+  return baselines::VerifyStateChecksum(in, start, pos);
+}
+
+void OperbStream::SerializeFields(std::vector<std::uint8_t>* out) const {
   serial::PutU8(static_cast<std::uint8_t>(mode_), out);
-  serial::PutU32(static_cast<std::uint32_t>(emitted_.size()), out);
-  for (const traj::RepresentedSegment& s : emitted_) {
-    traj::SerializeSegment(s, out);
-  }
-  serial::PutU64(last_take_size_, out);
   serial::PutU64(stats_.points_processed, out);
   serial::PutU64(stats_.segments_emitted, out);
   serial::PutU64(stats_.points_absorbed, out);
@@ -576,38 +565,26 @@ void OperbStream::Serialize(std::vector<std::uint8_t>* out) const {
   serial::PutU64(last_index_, out);
 }
 
-Status OperbStream::Deserialize(std::span<const std::uint8_t> in,
-                                std::size_t* pos) {
+Status OperbStream::DeserializeFields(std::span<const std::uint8_t> in,
+                                      std::size_t* pos) {
   std::uint8_t mode = 0;
-  std::uint32_t emitted_count = 0;
-  if (!serial::GetU8(in, pos, &mode) ||
-      !serial::GetU32(in, pos, &emitted_count)) {
+  if (!serial::GetU8(in, pos, &mode)) {
     return Status::Corruption("truncated OPERB stream state");
   }
   if (mode > static_cast<std::uint8_t>(Mode::kFinished)) {
     return Status::Corruption("OPERB stream mode out of range");
   }
   mode_ = static_cast<Mode>(mode);
-  emitted_.clear();
-  emitted_.reserve(emitted_count);
-  for (std::uint32_t i = 0; i < emitted_count; ++i) {
-    traj::RepresentedSegment s;
-    OPERB_RETURN_IF_ERROR(traj::DeserializeSegment(in, pos, &s));
-    emitted_.push_back(s);
-  }
-  std::uint64_t last_take = 0;
   std::uint64_t points_processed = 0;
   std::uint64_t segments_emitted = 0;
   std::uint64_t points_absorbed = 0;
   std::uint64_t cap_breaks = 0;
-  if (!serial::GetU64(in, pos, &last_take) ||
-      !serial::GetU64(in, pos, &points_processed) ||
+  if (!serial::GetU64(in, pos, &points_processed) ||
       !serial::GetU64(in, pos, &segments_emitted) ||
       !serial::GetU64(in, pos, &points_absorbed) ||
       !serial::GetU64(in, pos, &cap_breaks)) {
     return Status::Corruption("truncated OPERB stream state");
   }
-  last_take_size_ = static_cast<std::size_t>(last_take);
   stats_.points_processed = static_cast<std::size_t>(points_processed);
   stats_.segments_emitted = static_cast<std::size_t>(segments_emitted);
   stats_.points_absorbed = static_cast<std::size_t>(points_absorbed);
@@ -703,7 +680,7 @@ void OperbStream::Finish() {
     Emit(s);
   }
   // Closing segment: guarantee the representation ends at the last sample.
-  if (options_.emit_closing_segment && any_emitted_) {
+  if (any_emitted_) {
     const traj::RepresentedSegment tail = last_emitted_;
     if (tail.end_is_patch || tail.last_index != last_index_) {
       traj::RepresentedSegment close;

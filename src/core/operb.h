@@ -5,8 +5,10 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
+#include "baselines/streaming.h"
 #include "common/status.h"
 #include "core/fitting.h"
 #include "core/options.h"
@@ -28,105 +30,87 @@ struct OperbStats {
 };
 
 /// One-pass streaming OPERB (Section 4.3 with the Section 4.4
-/// optimizations).
-///
-/// Usage (zero-allocation sink path — preferred):
+/// optimizations) — the registry product for "OPERB" and "Raw-OPERB".
 ///
 ///   OperbStream stream(OperbOptions::Optimized(40.0));
 ///   stream.SetSink([](const traj::RepresentedSegment& seg) { Send(seg); });
 ///   for (const geo::Point& p : samples) stream.Push(p);   // or Push(span)
 ///   stream.Finish();
 ///
-/// Usage (buffered path):
-///
-///   OperbStream stream(OperbOptions::Optimized(40.0));
-///   std::vector<traj::RepresentedSegment> batch;
-///   for (const geo::Point& p : samples) {
-///     stream.Push(p);
-///     stream.TakeEmitted(&batch);   // reuses `batch`'s capacity
-///     for (const auto& seg : batch) Send(seg);
-///   }
-///   stream.Finish();
-///   stream.TakeEmitted(&batch);
-///   for (const auto& seg : batch) Send(seg);
-///
-/// Each pushed point is examined once (one distance check against the
-/// fitted line L plus one against the current candidate segment R_a),
-/// giving O(n) total time and O(1) working state — the properties
-/// Theorem 5 claims. Segments become available as soon as they are
-/// determined, so a sensor can transmit them immediately.
+/// The sink is the only output: every determined segment is handed to it
+/// the moment it is determined, and with no sink installed segments are
+/// dropped (only stats() sees them). Each pushed point is examined once
+/// (one distance check against the fitted line L plus one against the
+/// current candidate segment R_a), giving O(n) total time and O(1)
+/// working state — the properties Theorem 5 claims. Steady-state Push()
+/// performs no heap allocation.
 ///
 /// Deviations from the paper's pseudocode (documented in DESIGN.md):
 ///  - Figure 7 line 3 also updates P_e (required for Example 5's output);
 ///  - when the input ends on trailing inactive points, a closing segment
-///    to the final sample is appended unless
-///    `options.emit_closing_segment` is false.
-class OperbStream {
+///    to the final sample is appended, so the representation always ends
+///    at the last sample.
+class OperbStream final : public baselines::StreamingSimplifier {
  public:
-  /// Precondition: options.Validate().ok().
-  explicit OperbStream(const OperbOptions& options);
+  /// Precondition: options.Validate().ok(). `name` is the registered
+  /// algorithm name name() reports; the view must outlive the stream
+  /// (the registry passes a string literal).
+  explicit OperbStream(const OperbOptions& options,
+                       std::string_view name = "OPERB");
 
-  /// Installs the zero-allocation emission path: every determined segment
-  /// is handed to `sink` immediately instead of being buffered in
-  /// emitted(). With a sink installed, steady-state Push() performs no
-  /// heap allocation. Must be called before the first Push(); passing an
-  /// empty function restores the buffered path.
-  void SetSink(traj::SegmentSink sink);
+  std::string_view name() const override { return name_; }
+  bool one_pass() const override { return true; }
+
+  /// Must be called before the first Push() of a trajectory.
+  void SetSink(traj::SegmentSink sink) override;
 
   /// Feeds the next trajectory point. Timestamps must be strictly
   /// increasing (not re-validated here; see traj::StreamCleaner).
-  void Push(const geo::Point& p);
+  void Push(const geo::Point& p) override;
 
   /// Feeds a batch of points. Bit-identical to point-wise Push over the
   /// same span, but runs the three "point fits, keep going" run types
   /// (absorb, seek, inactive-extend) through the SoA-staged geo::simd
   /// batch kernels with speculative multi-point advance, falling back to
   /// the scalar per-point path at every mode change (DESIGN.md §12).
-  void Push(std::span<const geo::Point> points);
+  void Push(std::span<const geo::Point> points) override;
 
   /// Declares end-of-input and flushes the pending state. Push() must not
   /// be called afterwards.
-  void Finish();
+  void Finish() override;
 
   /// Returns the stream to its freshly-constructed state so a pooled
-  /// instance can simplify another trajectory without reallocation: the
-  /// options, the installed sink and the emitted-buffer capacity survive,
-  /// everything else is cleared. Performs no heap allocation (the engine's
-  /// state pool relies on this; see allocation_test).
-  void Reset();
+  /// instance can simplify another trajectory: the options and the
+  /// installed sink survive, everything else is cleared. Performs no heap
+  /// allocation (the engine's state pool relies on this; see
+  /// allocation_test).
+  void Reset() override;
 
-  /// Returns the segments emitted since the previous call and clears the
-  /// internal buffer. Prefer the out-parameter overload in loops (it
-  /// recycles the caller's capacity) or SetSink() (no buffer at all).
-  std::vector<traj::RepresentedSegment> TakeEmitted();
-
-  /// Swap-based TakeEmitted: `*out` receives the emitted segments and the
-  /// internal buffer inherits `out`'s old capacity, so a caller polling in
-  /// a loop stops paying an allocation per drained batch.
-  void TakeEmitted(std::vector<traj::RepresentedSegment>* out);
-
-  /// Emitted-but-not-yet-taken segments (no transfer; always empty while
-  /// a sink is installed).
-  const std::vector<traj::RepresentedSegment>& emitted() const {
-    return emitted_;
-  }
+  /// The "OPBS" state blob: the shared framing around the fields of
+  /// SerializeFields().
+  void Serialize(std::vector<std::uint8_t>* out) const override;
+  Status Deserialize(std::span<const std::uint8_t> in,
+                     std::size_t* pos) override;
 
   const OperbStats& stats() const { return stats_; }
   const OperbOptions& options() const { return options_; }
 
+ private:
+  friend class OperbAStream;  // frames these fields inside its own blob
+
   /// Appends the complete dynamic state (mode, counters, current-segment
-  /// geometry, the fitting function, pending/undrained segments) as
-  /// byte-stable fields — everything Reset() clears, nothing it keeps:
-  /// options and the sink are configuration, re-established at
-  /// construction. Serializing then Deserializing into a stream built
-  /// with identical options resumes mid-trajectory bit-identically.
-  void Serialize(std::vector<std::uint8_t>* out) const;
+  /// geometry, the fitting function, the pending segment) as byte-stable
+  /// fields — everything Reset() clears, nothing it keeps: options and
+  /// the sink are configuration, re-established at construction.
+  /// Restoring into a stream built with identical options resumes
+  /// mid-trajectory bit-identically.
+  void SerializeFields(std::vector<std::uint8_t>* out) const;
 
   /// Overwrites the dynamic state from `in`, advancing `*pos`.
   /// Corruption on truncation or out-of-range enum/flag bytes.
-  Status Deserialize(std::span<const std::uint8_t> in, std::size_t* pos);
+  Status DeserializeFields(std::span<const std::uint8_t> in,
+                           std::size_t* pos);
 
- private:
   enum class Mode {
     kIdle,       ///< nothing pushed yet
     kSeek,       ///< collecting points before the first active point
@@ -159,25 +143,21 @@ class OperbStream {
   /// everything consumed so far and transitions to kAbsorb or restarts.
   void BreakSegment();
   void EmitPending();
-  /// Routes one determined segment to the sink (if installed) or the
-  /// emitted_ buffer, and tracks it as the latest emission for Finish().
+  /// Hands one determined segment to the sink (if installed) and tracks
+  /// it as the latest emission for Finish().
   void Emit(const traj::RepresentedSegment& s);
   /// Starts a fresh segment whose geometric start is `anchor` and whose
   /// covered range chains at `chain_index`.
   void StartSegment(geo::Vec2 anchor, std::size_t chain_index, bool detached);
 
+  std::string_view name_;
   OperbOptions options_;
   bool guard_engaged_ = false;
   Mode mode_ = Mode::kIdle;
   traj::SegmentSink sink_;
-  std::vector<traj::RepresentedSegment> emitted_;
-  /// Size of the last drained batch — sizing hint for emitted_ when the
-  /// caller's swap left it without capacity.
-  std::size_t last_take_size_ = 0;
   OperbStats stats_;
   /// Latest emission (valid when any_emitted_): Finish() chains its
-  /// closing segment off this instead of peeking at emitted_, which the
-  /// sink path never fills.
+  /// closing segment off it.
   traj::RepresentedSegment last_emitted_;
   bool any_emitted_ = false;
 

@@ -6,25 +6,19 @@
 
 namespace operb::core {
 
+namespace {
+
+constexpr std::uint32_t kOperbAStateMagic = 0x5341'504Fu;  // "OPAS"
+
+}  // namespace
+
 LazyPatcher::LazyPatcher(const OperbAOptions& options) : options_(options) {
   OPERB_CHECK_MSG(options.Validate().ok(), "invalid OperbAOptions");
 }
 
 void LazyPatcher::SetSink(traj::SegmentSink sink) {
-  OPERB_CHECK_MSG(!x_.has_value() && emitted_.empty(),
-                  "SetSink after the first Accept");
+  OPERB_CHECK_MSG(!x_.has_value(), "SetSink after the first Accept");
   sink_ = std::move(sink);
-}
-
-std::vector<traj::RepresentedSegment> LazyPatcher::TakeEmitted() {
-  std::vector<traj::RepresentedSegment> out;
-  out.swap(emitted_);
-  return out;
-}
-
-void LazyPatcher::TakeEmitted(std::vector<traj::RepresentedSegment>* out) {
-  out->clear();
-  out->swap(emitted_);
 }
 
 void LazyPatcher::Accept(traj::RepresentedSegment segment) {
@@ -35,7 +29,7 @@ void LazyPatcher::Accept(traj::RepresentedSegment segment) {
     return;
   }
   if (!y_.has_value()) {
-    if (options_.enable_patching && IsAnomalous(segment)) {
+    if (IsAnomalous(segment)) {
       // Park the anomalous segment until its successor determines whether
       // a patch point exists.
       y_ = segment;
@@ -83,7 +77,6 @@ void LazyPatcher::Finish() {
 }
 
 void LazyPatcher::Reset() {
-  emitted_.clear();
   x_.reset();
   y_.reset();
   anomalous_segments_ = 0;
@@ -91,10 +84,6 @@ void LazyPatcher::Reset() {
 }
 
 void LazyPatcher::Serialize(std::vector<std::uint8_t>* out) const {
-  serial::PutU32(static_cast<std::uint32_t>(emitted_.size()), out);
-  for (const traj::RepresentedSegment& s : emitted_) {
-    traj::SerializeSegment(s, out);
-  }
   serial::PutU8(x_.has_value() ? 1 : 0, out);
   if (x_.has_value()) traj::SerializeSegment(*x_, out);
   serial::PutU8(y_.has_value() ? 1 : 0, out);
@@ -105,17 +94,6 @@ void LazyPatcher::Serialize(std::vector<std::uint8_t>* out) const {
 
 Status LazyPatcher::Deserialize(std::span<const std::uint8_t> in,
                                 std::size_t* pos) {
-  std::uint32_t emitted_count = 0;
-  if (!serial::GetU32(in, pos, &emitted_count)) {
-    return Status::Corruption("truncated lazy-patcher state");
-  }
-  emitted_.clear();
-  emitted_.reserve(emitted_count);
-  for (std::uint32_t i = 0; i < emitted_count; ++i) {
-    traj::RepresentedSegment s;
-    OPERB_RETURN_IF_ERROR(traj::DeserializeSegment(in, pos, &s));
-    emitted_.push_back(s);
-  }
   for (std::optional<traj::RepresentedSegment>* slot : {&x_, &y_}) {
     std::uint8_t present = 0;
     if (!serial::GetU8(in, pos, &present)) {
@@ -143,11 +121,11 @@ Status LazyPatcher::Deserialize(std::span<const std::uint8_t> in,
   return Status::OK();
 }
 
-OperbAStream::OperbAStream(const OperbAOptions& options)
-    : options_(options), inner_(options.base), patcher_(options) {
-  // Segments flow inner -> patcher without touching inner's buffer: the
-  // old drain-after-every-Push pattern paid a vector move per drained
-  // batch, this pays one indirect call per *determined segment*.
+OperbAStream::OperbAStream(const OperbAOptions& options,
+                           std::string_view name)
+    : name_(name), options_(options), inner_(options.base), patcher_(options) {
+  // Segments flow inner -> patcher: one indirect call per *determined
+  // segment*.
   inner_.SetSink(
       [this](const traj::RepresentedSegment& s) { patcher_.Accept(s); });
 }
@@ -172,14 +150,6 @@ void OperbAStream::Reset() {
   patcher_.Reset();
 }
 
-std::vector<traj::RepresentedSegment> OperbAStream::TakeEmitted() {
-  return patcher_.TakeEmitted();
-}
-
-void OperbAStream::TakeEmitted(std::vector<traj::RepresentedSegment>* out) {
-  patcher_.TakeEmitted(out);
-}
-
 OperbAStats OperbAStream::stats() const {
   OperbAStats s;
   s.base = inner_.stats();
@@ -189,14 +159,21 @@ OperbAStats OperbAStream::stats() const {
 }
 
 void OperbAStream::Serialize(std::vector<std::uint8_t>* out) const {
-  inner_.Serialize(out);
+  const std::size_t start =
+      baselines::BeginState(kOperbAStateMagic, options_.base.zeta, out);
+  inner_.SerializeFields(out);
   patcher_.Serialize(out);
+  baselines::EndState(start, out);
 }
 
 Status OperbAStream::Deserialize(std::span<const std::uint8_t> in,
                                  std::size_t* pos) {
-  OPERB_RETURN_IF_ERROR(inner_.Deserialize(in, pos));
-  return patcher_.Deserialize(in, pos);
+  const std::size_t start = *pos;
+  OPERB_RETURN_IF_ERROR(baselines::CheckStateHeader(
+      kOperbAStateMagic, name_, options_.base.zeta, in, pos));
+  OPERB_RETURN_IF_ERROR(inner_.DeserializeFields(in, pos));
+  OPERB_RETURN_IF_ERROR(patcher_.Deserialize(in, pos));
+  return baselines::VerifyStateChecksum(in, start, pos);
 }
 
 traj::PiecewiseRepresentation SimplifyOperbA(

@@ -4,8 +4,10 @@
 #include <cstddef>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
+#include "baselines/streaming.h"
 #include "core/operb.h"
 #include "core/options.h"
 #include "geo/point.h"
@@ -43,34 +45,28 @@ class LazyPatcher {
  public:
   explicit LazyPatcher(const OperbAOptions& options);
 
-  /// Installs the zero-allocation emission path (same contract as
-  /// OperbStream::SetSink): must be called before the first Accept().
+  /// Installs the output (same contract as OperbStream::SetSink): must
+  /// be called before the first Accept(). Without a sink, released
+  /// segments are dropped.
   void SetSink(traj::SegmentSink sink);
 
-  /// Feeds the next determined segment; emitted segments go to the sink,
-  /// or accumulate in emitted() when none is installed.
+  /// Feeds the next determined segment; released segments go to the sink.
   void Accept(traj::RepresentedSegment segment);
 
   /// Flushes the buffer (trailing anomalous segments are emitted as-is).
   void Finish();
 
   /// Clears the lazy buffer and the counters so a pooled instance can
-  /// filter another segment stream. Keeps the options, the sink and the
-  /// emitted-buffer capacity; performs no heap allocation.
+  /// filter another segment stream. Keeps the options and the sink;
+  /// performs no heap allocation.
   void Reset();
-
-  std::vector<traj::RepresentedSegment> TakeEmitted();
-  void TakeEmitted(std::vector<traj::RepresentedSegment>* out);
-  const std::vector<traj::RepresentedSegment>& emitted() const {
-    return emitted_;
-  }
 
   std::size_t anomalous_segments() const { return anomalous_segments_; }
   std::size_t patches_applied() const { return patches_applied_; }
 
-  /// Appends the dynamic state (lazy buffer, undrained emissions,
-  /// counters) as byte-stable fields; options and sink are configuration
-  /// and not written (same contract as OperbStream::Serialize).
+  /// Appends the dynamic state (lazy buffer, counters) as byte-stable
+  /// fields; options and sink are configuration and not written (same
+  /// contract as OperbStream's fields).
   void Serialize(std::vector<std::uint8_t>* out) const;
 
   /// Overwrites the dynamic state from `in`, advancing `*pos`.
@@ -81,16 +77,11 @@ class LazyPatcher {
     return s.PointCount() == 2;
   }
   void Emit(const traj::RepresentedSegment& s) {
-    if (sink_) {
-      sink_(s);
-    } else {
-      emitted_.push_back(s);
-    }
+    if (sink_) sink_(s);
   }
 
   OperbAOptions options_;
   traj::SegmentSink sink_;
-  std::vector<traj::RepresentedSegment> emitted_;
   std::optional<traj::RepresentedSegment> x_;  ///< pending predecessor
   std::optional<traj::RepresentedSegment> y_;  ///< pending anomalous segment
   std::size_t anomalous_segments_ = 0;
@@ -98,43 +89,46 @@ class LazyPatcher {
 };
 
 /// One-pass streaming OPERB-A (Section 5): OPERB's segment stream piped
-/// through the lazy patching policy. Same Push/Finish/TakeEmitted contract
-/// as OperbStream; output segments are delayed by at most two segments
-/// (the lazy buffer), and the working state remains O(1).
-class OperbAStream {
+/// through the lazy patching policy — the registry product for "OPERB-A"
+/// and "Raw-OPERB-A". Same contract as OperbStream; output segments are
+/// delayed by at most two segments (the lazy buffer), and the working
+/// state remains O(1).
+class OperbAStream final : public baselines::StreamingSimplifier {
  public:
-  /// Precondition: options.Validate().ok().
-  explicit OperbAStream(const OperbAOptions& options);
+  /// Precondition: options.Validate().ok(). `name` as for OperbStream.
+  explicit OperbAStream(const OperbAOptions& options,
+                        std::string_view name = "OPERB-A");
 
   // The inner OPERB stream's sink captures `this`; moving would dangle it.
   OperbAStream(const OperbAStream&) = delete;
   OperbAStream& operator=(const OperbAStream&) = delete;
 
-  /// Zero-allocation emission path (same contract as
-  /// OperbStream::SetSink): must be called before the first Push().
-  void SetSink(traj::SegmentSink sink);
+  std::string_view name() const override { return name_; }
+  bool one_pass() const override { return true; }
 
-  void Push(const geo::Point& p);
-  void Push(std::span<const geo::Point> points);
-  void Finish();
+  /// Must be called before the first Push() of a trajectory.
+  void SetSink(traj::SegmentSink sink) override;
+
+  void Push(const geo::Point& p) override;
+  void Push(std::span<const geo::Point> points) override;
+  void Finish() override;
 
   /// Resets the inner OPERB stream and the patcher for the next
-  /// trajectory (same contract as OperbStream::Reset: options, sink and
-  /// buffer capacity survive; no heap allocation).
-  void Reset();
+  /// trajectory (same contract as OperbStream::Reset: options and sink
+  /// survive; no heap allocation).
+  void Reset() override;
 
-  std::vector<traj::RepresentedSegment> TakeEmitted();
-  void TakeEmitted(std::vector<traj::RepresentedSegment>* out);
+  /// The "OPAS" state blob: the shared framing around the inner OPERB
+  /// stream's fields followed by the patcher state.
+  void Serialize(std::vector<std::uint8_t>* out) const override;
+  Status Deserialize(std::span<const std::uint8_t> in,
+                     std::size_t* pos) override;
 
   OperbAStats stats() const;
   const OperbAOptions& options() const { return options_; }
 
-  /// Framed inner-OPERB state followed by the patcher state (see
-  /// OperbStream::Serialize for the contract).
-  void Serialize(std::vector<std::uint8_t>* out) const;
-  Status Deserialize(std::span<const std::uint8_t> in, std::size_t* pos);
-
  private:
+  std::string_view name_;
   OperbAOptions options_;
   OperbStream inner_;
   LazyPatcher patcher_;

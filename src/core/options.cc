@@ -31,10 +31,9 @@ Status OperbOptions::Validate() const {
 std::string OperbOptions::ToString() const {
   char buf[200];
   std::snprintf(buf, sizeof(buf),
-                "OperbOptions{zeta=%.2f, opts=%d%d%d%d%d, cap=%zu, close=%d}",
-                zeta, opt_first_active, opt_adjusted_distance, opt_closer_line,
-                opt_missing_active, opt_absorb, max_points_per_segment,
-                emit_closing_segment);
+                "OperbOptions{zeta=%.2f, opts=%d%d%d%d%d, cap=%zu}", zeta,
+                opt_first_active, opt_adjusted_distance, opt_closer_line,
+                opt_missing_active, opt_absorb, max_points_per_segment);
   return buf;
 }
 
@@ -42,9 +41,6 @@ Status OperbAOptions::Validate() const {
   OPERB_RETURN_IF_ERROR(base.Validate());
   if (gamma_m < 0.0 || gamma_m > geo::kPi) {
     return Status::InvalidArgument("gamma_m must lie in [0, pi]");
-  }
-  if (max_patch_extension_zeta < 0.0) {
-    return Status::InvalidArgument("max_patch_extension_zeta must be >= 0");
   }
   return Status::OK();
 }

@@ -64,11 +64,6 @@ struct OperbOptions {
   /// reaching it forces a segment break.
   std::size_t max_points_per_segment = 400000;
 
-  /// Append a closing segment so the representation always ends at the
-  /// final sample. Off reproduces the paper's pseudocode verbatim (the
-  /// representation then ends at the last *active* point).
-  bool emit_closing_segment = true;
-
   /// All five optimizations disabled (the paper's Raw-OPERB).
   static OperbOptions Raw(double zeta_in) {
     OperbOptions o;
@@ -98,21 +93,11 @@ struct OperbOptions {
 struct OperbAOptions {
   OperbOptions base;
 
-  /// Enables the lazy patching policy. Off degrades OPERB-A to OPERB with
-  /// the (slightly delayed) lazy output order.
-  bool enable_patching = true;
-
   /// The included-angle restriction gamma_m in [0, pi] (condition (3) of
   /// the patching method): a patch is allowed only when the absolute turn
   /// from R_{i-1} to R_{i+1} is at most pi - gamma_m. Default pi/3 as in
   /// the paper.
   double gamma_m = geo::kPi / 3.0;
-
-  /// Practical guard not in the paper (disabled by default, value in
-  /// multiples of zeta): when > 0, rejects patch points that would extend
-  /// the previous segment by more than this many zeta beyond its end,
-  /// which suppresses far-away intersections of nearly parallel lines.
-  double max_patch_extension_zeta = 0.0;
 
   static OperbAOptions Raw(double zeta_in) {
     OperbAOptions o;

@@ -36,15 +36,6 @@ std::optional<geo::Vec2> ComputePatchPoint(
   // of prev's endpoint is at most zeta/2.
   const double zeta = options.base.zeta;
   if (isect->s * len_prev < len_prev - zeta / 2.0) return std::nullopt;
-
-  // Optional practical guard (off by default): bound the forward
-  // extension so near-parallel lines do not produce far-away patches.
-  if (options.max_patch_extension_zeta > 0.0) {
-    const double extension = (isect->s - 1.0) * len_prev;
-    if (extension > options.max_patch_extension_zeta * zeta) {
-      return std::nullopt;
-    }
-  }
   return isect->point;
 }
 

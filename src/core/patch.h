@@ -20,7 +20,7 @@ namespace operb::core {
 ///      at most pi - gamma_m.
 ///
 /// Returns nullopt when any condition fails (including parallel or
-/// degenerate lines, and the optional max-extension guard).
+/// degenerate lines).
 std::optional<geo::Vec2> ComputePatchPoint(
     const traj::RepresentedSegment& prev,
     const traj::RepresentedSegment& next, const OperbAOptions& options);

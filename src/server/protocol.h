@@ -34,6 +34,13 @@ namespace operb::server {
 /// error, not an allocation request.
 inline constexpr std::size_t kMaxFrameBytes = 64u << 20;
 
+/// Wire sizes of the two repeated records: an ingest update (u64 id +
+/// three f64) and a timed segment (u64 id + a 50-byte segment + two f64).
+/// A count claiming more records than the rest of the body can hold is
+/// malformed and refused before anything is sized from it.
+inline constexpr std::size_t kIngestUpdateWireBytes = 32;
+inline constexpr std::size_t kTimedSegmentWireBytes = 74;
+
 /// Request tags. Bodies (all integers/doubles via common/serial.h):
 ///  - kIngest:       u32 n, then n x (u64 id, f64 t, f64 x, f64 y);
 ///                   ok-reply: u64 accepted (= n).

@@ -574,7 +574,10 @@ bool TrajectoryServer::Dispatch(Connection* conn, Verb verb,
   switch (verb) {
     case Verb::kIngest: {
       std::uint32_t n = 0;
-      if (!serial::GetU32(body, &pos, &n)) return malformed();
+      if (!serial::GetU32(body, &pos, &n) ||
+          n > (body.size() - pos) / kIngestUpdateWireBytes) {
+        return malformed();
+      }
       std::vector<traj::ObjectUpdate> updates(n);
       for (traj::ObjectUpdate& u : updates) {
         double t = 0.0;

@@ -15,6 +15,10 @@ namespace operb::store {
 
 namespace {
 
+/// Fixed part of one file-table entry: shard, level, flags and name
+/// length, a u32 each.
+constexpr std::size_t kManifestEntryFixedBytes = 16;
+
 void PutU32(std::uint32_t v, std::vector<std::uint8_t>* out) {
   for (int i = 0; i < 4; ++i) {
     out->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -146,6 +150,11 @@ Result<Manifest> DecodeManifest(std::span<const std::uint8_t> data) {
                               std::to_string(version));
   }
   m.zeta = std::bit_cast<double>(zeta_bits);
+  // The checksum is not cryptographic: bound the claimed count by the
+  // bytes left (each entry's fixed part is four u32) before reserving.
+  if (pos > tail || file_count > (tail - pos) / kManifestEntryFixedBytes) {
+    return Status::Corruption("store manifest file count exceeds its size");
+  }
   m.files.reserve(file_count);
   for (std::uint32_t i = 0; i < file_count; ++i) {
     SegmentFileInfo f;

@@ -302,11 +302,14 @@ TEST(AllocationTest, InstrumentedSinkPathIsAllocationFreePerPoint) {
   EXPECT_GT(segments_ctr->Value(), 10u);
 }
 
-/// Contrast check: the buffered path must still work (and will allocate),
-/// confirming the counter actually observes the stream's allocations.
+/// Contrast check: a sink that buffers its segments (growing a vector)
+/// allocates inside the Push loop, and the counter must see it —
+/// confirming it observes allocations made on the stream's behalf.
 TEST(AllocationTest, BufferedPathAllocatesAndCounterSeesIt) {
   const traj::Trajectory t = TestTrajectory(20000);
   core::OperbStream stream(core::OperbOptions::Optimized(40.0));
+  std::vector<traj::RepresentedSegment> buffered;
+  stream.SetSink(testutil::CollectInto(&buffered));
   std::size_t allocations = 0;
   std::size_t segments = 0;
   {
@@ -314,7 +317,7 @@ TEST(AllocationTest, BufferedPathAllocatesAndCounterSeesIt) {
     for (const geo::Point& p : t) stream.Push(p);
     stream.Finish();
     allocations = scope.count();
-    segments = stream.emitted().size();
+    segments = buffered.size();
   }
   EXPECT_GT(allocations, 0u);
   EXPECT_GT(segments, 10u);

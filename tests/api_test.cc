@@ -31,6 +31,8 @@
 #include "obs/snapshot.h"
 #include "store/env.h"
 #include "baselines/streaming.h"
+#include "core/operb.h"
+#include "core/operb_a.h"
 #include "datagen/profiles.h"
 #include "engine/stream_engine.h"
 #include "test_util.h"
@@ -188,6 +190,25 @@ TEST(AlgorithmRegistryTest, EntriesExposeOnePassAndSummaries) {
     EXPECT_FALSE(registry.Find(name)->summary.empty()) << name;
   }
   EXPECT_EQ(registry.Find("no-such-algorithm"), nullptr);
+}
+
+TEST(AlgorithmRegistryTest, OperbNamesBuildTheCoreStreamsThemselves) {
+  // No adapter between the registry and the one-pass algorithms: the
+  // product is the core stream, reporting the name it was registered as.
+  const api::AlgorithmRegistry& registry = api::AlgorithmRegistry::Global();
+  for (const char* name : {"Raw-OPERB", "OPERB"}) {
+    auto made = registry.MakeStreaming(testutil::SpecOf(name, 10.0));
+    ASSERT_TRUE(made.ok()) << name;
+    EXPECT_NE(dynamic_cast<core::OperbStream*>(made->get()), nullptr) << name;
+    EXPECT_EQ((*made)->name(), name);
+  }
+  for (const char* name : {"Raw-OPERB-A", "OPERB-A"}) {
+    auto made = registry.MakeStreaming(testutil::SpecOf(name, 10.0));
+    ASSERT_TRUE(made.ok()) << name;
+    EXPECT_NE(dynamic_cast<core::OperbAStream*>(made->get()), nullptr)
+        << name;
+    EXPECT_EQ((*made)->name(), name);
+  }
 }
 
 TEST(AlgorithmRegistryTest, RejectsDuplicateAndIncompleteRegistrations) {

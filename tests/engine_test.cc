@@ -8,6 +8,7 @@
 // fixtures for all 10 algorithms across several shard/thread
 // configurations.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -19,6 +20,7 @@
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -676,6 +678,63 @@ TEST(EngineTest, CheckpointStatusContract) {
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   ok.value()->Close();
   EXPECT_EQ(ok.value()->stats().points, 2 * t.size());
+}
+
+/// Rewrites `bytes[at, at + n)` with FNV-1a64 of `bytes[from, at)`.
+void ResealChecksum(std::vector<std::uint8_t>* bytes, std::size_t from,
+                    std::size_t at) {
+  const std::uint64_t sum = serial::Fnv1a64(
+      std::span<const std::uint8_t>(bytes->data() + from, at - from));
+  for (std::size_t i = 0; i < 8; ++i) {
+    (*bytes)[at + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+  }
+}
+
+TEST(EngineTest, CheckpointWithVersion1OperbStateIsRefused) {
+  // Version 1 of the OPBS/OPAS state blobs carried the buffered-emission
+  // list; version 2 dropped it. A checkpoint whose OPERB states are
+  // stamped version 1, with every checksum intact, is an honest file from
+  // an older writer: InvalidArgument, not Corruption.
+  const traj::Trajectory t =
+      testutil::Generated(datagen::DatasetKind::kSerCar, 200, 5);
+  const std::vector<std::pair<const char*, std::string>> families = {
+      {"OPERB", "OPBS"}, {"OPERB-A", "OPAS"}};
+  for (const auto& [algorithm, magic] : families) {
+    SCOPED_TRACE(algorithm);
+    engine::StreamEngineOptions opts;
+    opts.spec = testutil::SpecOf(algorithm, kGoldenZeta);
+    opts.num_shards = 2;
+    const std::string path = TempPath("engine_ckpt_state_v1.ckpt");
+    {
+      engine::StreamEngine eng(opts, nullptr);
+      for (std::size_t i = 0; i < t.size(); ++i) eng.Push(21, t[i]);
+      for (std::size_t i = 0; i < t.size(); ++i) eng.Push(22, t[i]);
+      ASSERT_TRUE(eng.Checkpoint(path).ok());
+      eng.Close();
+    }
+    std::vector<std::uint8_t> bytes = ReadAllBytes(path);
+    std::size_t blobs = 0;
+    for (std::size_t at = 4; at + magic.size() <= bytes.size(); ++at) {
+      if (!std::equal(magic.begin(), magic.end(), bytes.begin() + at)) {
+        continue;
+      }
+      // Each blob is preceded by its u32 length.
+      std::size_t len_pos = at - 4;
+      std::uint32_t len = 0;
+      ASSERT_TRUE(serial::GetU32(bytes, &len_pos, &len));
+      ASSERT_EQ(bytes[at + 4], 2u) << "state version byte";
+      bytes[at + 4] = 1;
+      ResealChecksum(&bytes, at, at + len - 8);
+      ++blobs;
+    }
+    ASSERT_EQ(blobs, 2u);
+    ResealChecksum(&bytes, 0, bytes.size() - 8);
+    WriteAllBytes(path, bytes);
+    EXPECT_EQ(engine::StreamEngine::CreateFromCheckpoint(path, opts, nullptr)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(EngineTest, CheckpointWriteFaultsLeaveNoPartialCheckpoint) {

@@ -7,7 +7,7 @@
 //   (a) the whole-trajectory run (baselines::SimplifyAll: one span),
 //   (b) the same registry product fed in two spans after Reset(),
 //   (c) per-point Push after Reset(),
-//   (d) for the OPERB family: core per-point Push + TakeEmitted polling,
+//   (d) for the OPERB family: core per-point Push into a sink,
 //   (e) for the OPERB family: core batch Push(span) + sink.
 // Regenerate the fixtures with tools/make_golden only for an intentional
 // output change, and re-review the diff.
@@ -116,8 +116,8 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-/// The OPERB-family streams additionally expose raw Push/TakeEmitted and
-/// batch Push(span): both must match the golden output exactly.
+/// The OPERB-family streams, built directly, must match the golden output
+/// both per point and through batch Push(span).
 class OperbStreamPathsTest
     : public testing::TestWithParam<datagen::DatasetKind> {};
 
@@ -130,19 +130,13 @@ TEST_P(OperbStreamPathsTest, OperbPollingAndBatchPathsMatchGolden) {
   if (HasFailure()) return;
   const core::OperbOptions opts = core::OperbOptions::Optimized(kGoldenZeta);
 
-  // (d) Per-point Push with TakeEmitted polling (capacity-reusing drain).
+  // (d) Per-point Push, each segment collected as it is emitted.
   core::OperbStream polling(opts);
   std::vector<traj::RepresentedSegment> collected;
-  std::vector<traj::RepresentedSegment> batch;
-  for (const geo::Point& p : t) {
-    polling.Push(p);
-    polling.TakeEmitted(&batch);
-    collected.insert(collected.end(), batch.begin(), batch.end());
-  }
+  polling.SetSink(testutil::CollectInto(&collected));
+  for (const geo::Point& p : t) polling.Push(p);
   polling.Finish();
-  polling.TakeEmitted(&batch);
-  collected.insert(collected.end(), batch.begin(), batch.end());
-  ExpectSegmentsEqual(collected, golden, "polling");
+  ExpectSegmentsEqual(collected, golden, "per-point");
 
   // (e) Batch Push(span) + sink.
   core::OperbStream spans(opts);
@@ -176,16 +170,10 @@ TEST_P(OperbStreamPathsTest, OperbAPollingAndBatchPathsMatchGolden) {
 
   core::OperbAStream polling(opts);
   std::vector<traj::RepresentedSegment> collected;
-  std::vector<traj::RepresentedSegment> batch;
-  for (const geo::Point& p : t) {
-    polling.Push(p);
-    polling.TakeEmitted(&batch);
-    collected.insert(collected.end(), batch.begin(), batch.end());
-  }
+  polling.SetSink(testutil::CollectInto(&collected));
+  for (const geo::Point& p : t) polling.Push(p);
   polling.Finish();
-  polling.TakeEmitted(&batch);
-  collected.insert(collected.end(), batch.begin(), batch.end());
-  ExpectSegmentsEqual(collected, golden, "polling");
+  ExpectSegmentsEqual(collected, golden, "per-point");
 
   core::OperbAStream spans(opts);
   std::vector<traj::RepresentedSegment> via_sink;

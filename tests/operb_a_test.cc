@@ -112,32 +112,20 @@ TEST(PatchPointTest, DegenerateSegmentsRejected) {
       ComputePatchPoint(prev, next, OperbAOptions::Optimized(40.0)));
 }
 
-TEST(PatchPointTest, MaxExtensionGuardRejectsFarPatches) {
-  // A 10-degree turn puts the intersection far ahead of prev's end.
-  const auto prev = Seg({0, 0}, {100, 0}, 0, 10);
-  const geo::Vec2 dir = geo::Vec2::FromAngle(geo::DegToRad(10.0));
-  const geo::Vec2 s0{150.0, 2.0};
-  const auto next = Seg(s0, s0 + dir * 100.0, 12, 20);
-  OperbAOptions opts = OperbAOptions::Optimized(10.0);
-  const auto unguarded = ComputePatchPoint(prev, next, opts);
-  ASSERT_TRUE(unguarded.has_value());
-  EXPECT_GT(unguarded->x, 120.0);
-  opts.max_patch_extension_zeta = 1.0;  // allow at most 10 m of extension
-  EXPECT_FALSE(ComputePatchPoint(prev, next, opts).has_value());
-}
-
 // ---------------------------------------------------------------------------
 // LazyPatcher policy.
 // ---------------------------------------------------------------------------
 
 TEST(LazyPatcherTest, PassesThroughNonAnomalousSegments) {
   LazyPatcher patcher(OperbAOptions::Optimized(40.0));
+  std::vector<traj::RepresentedSegment> out;
+  patcher.SetSink(testutil::CollectInto(&out));
   patcher.Accept(Seg({0, 0}, {50, 0}, 0, 5));
-  EXPECT_TRUE(patcher.emitted().empty());  // buffered as candidate X
+  EXPECT_TRUE(out.empty());  // buffered as candidate X
   patcher.Accept(Seg({50, 0}, {100, 0}, 5, 10));
-  EXPECT_EQ(patcher.emitted().size(), 1u);
+  EXPECT_EQ(out.size(), 1u);
   patcher.Finish();
-  EXPECT_EQ(patcher.emitted().size(), 2u);
+  EXPECT_EQ(out.size(), 2u);
   EXPECT_EQ(patcher.anomalous_segments(), 0u);
   EXPECT_EQ(patcher.patches_applied(), 0u);
 }
@@ -146,13 +134,14 @@ TEST(LazyPatcherTest, PatchesCrossroadAnomaly) {
   // X covers 0..10 along +x; anomalous Y jumps to the start of the
   // vertical street; S covers the vertical street.
   LazyPatcher patcher(OperbAOptions::Optimized(40.0));
+  std::vector<traj::RepresentedSegment> out;
+  patcher.SetSink(testutil::CollectInto(&out));
   patcher.Accept(Seg({0, 0}, {100, 0}, 0, 10));
   patcher.Accept(Seg({100, 0}, {110, 10}, 10, 11));  // anomalous (2 pts)
   patcher.Accept(Seg({110, 10}, {110, 100}, 11, 20));
   patcher.Finish();
   ASSERT_EQ(patcher.anomalous_segments(), 1u);
   ASSERT_EQ(patcher.patches_applied(), 1u);
-  const auto& out = patcher.emitted();
   ASSERT_EQ(out.size(), 2u);
   // X extended to G = (110, 0) on its own line.
   EXPECT_NEAR(out[0].end.x, 110.0, 1e-9);
@@ -167,6 +156,8 @@ TEST(LazyPatcherTest, PatchesCrossroadAnomaly) {
 
 TEST(LazyPatcherTest, UnpatchableAnomalyEmittedInOrder) {
   LazyPatcher patcher(OperbAOptions::Optimized(40.0));
+  std::vector<traj::RepresentedSegment> out;
+  patcher.SetSink(testutil::CollectInto(&out));
   patcher.Accept(Seg({0, 0}, {100, 0}, 0, 10));
   // U-turn: angle condition rejects the patch.
   patcher.Accept(Seg({100, 0}, {105, 5}, 10, 11));
@@ -174,7 +165,6 @@ TEST(LazyPatcherTest, UnpatchableAnomalyEmittedInOrder) {
   patcher.Finish();
   EXPECT_EQ(patcher.anomalous_segments(), 1u);
   EXPECT_EQ(patcher.patches_applied(), 0u);
-  const auto& out = patcher.emitted();
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].last_index, 10u);
   EXPECT_EQ(out[1].first_index, 10u);
@@ -184,31 +174,22 @@ TEST(LazyPatcherTest, UnpatchableAnomalyEmittedInOrder) {
 
 TEST(LazyPatcherTest, TrailingAnomalyFlushedOnFinish) {
   LazyPatcher patcher(OperbAOptions::Optimized(40.0));
+  std::vector<traj::RepresentedSegment> out;
+  patcher.SetSink(testutil::CollectInto(&out));
   patcher.Accept(Seg({0, 0}, {100, 0}, 0, 10));
   patcher.Accept(Seg({100, 0}, {110, 10}, 10, 11));
   patcher.Finish();
-  EXPECT_EQ(patcher.emitted().size(), 2u);
+  EXPECT_EQ(out.size(), 2u);
   EXPECT_EQ(patcher.anomalous_segments(), 1u);
   EXPECT_EQ(patcher.patches_applied(), 0u);
-}
-
-TEST(LazyPatcherTest, PatchingDisabledCountsButNeverPatches) {
-  OperbAOptions opts = OperbAOptions::Optimized(40.0);
-  opts.enable_patching = false;
-  LazyPatcher patcher(opts);
-  patcher.Accept(Seg({0, 0}, {100, 0}, 0, 10));
-  patcher.Accept(Seg({100, 0}, {110, 10}, 10, 11));
-  patcher.Accept(Seg({110, 10}, {110, 100}, 11, 20));
-  patcher.Finish();
-  EXPECT_EQ(patcher.anomalous_segments(), 1u);
-  EXPECT_EQ(patcher.patches_applied(), 0u);
-  EXPECT_EQ(patcher.emitted().size(), 3u);
 }
 
 TEST(LazyPatcherTest, ChainedPatchesAcrossConsecutiveAnomalies) {
   // Staircase: every turn produces an anomalous connector; the patched
   // pending segment must remain eligible as the next predecessor.
   LazyPatcher patcher(OperbAOptions::Optimized(40.0));
+  std::vector<traj::RepresentedSegment> out;
+  patcher.SetSink(testutil::CollectInto(&out));
   patcher.Accept(Seg({0, 0}, {100, 0}, 0, 10));
   patcher.Accept(Seg({100, 0}, {110, 10}, 10, 11));    // anomalous
   patcher.Accept(Seg({110, 10}, {110, 100}, 11, 20));  // vertical street
@@ -217,7 +198,7 @@ TEST(LazyPatcherTest, ChainedPatchesAcrossConsecutiveAnomalies) {
   patcher.Finish();
   EXPECT_EQ(patcher.anomalous_segments(), 2u);
   EXPECT_EQ(patcher.patches_applied(), 2u);
-  EXPECT_EQ(patcher.emitted().size(), 3u);
+  EXPECT_EQ(out.size(), 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -293,12 +274,11 @@ TEST(OperbATest, StreamingMatchesBatch) {
   const auto batch = SimplifyOperbA(t, opts);
   OperbAStream stream(opts);
   traj::PiecewiseRepresentation incremental;
-  for (const geo::Point& p : t) {
-    stream.Push(p);
-    for (auto& s : stream.TakeEmitted()) incremental.Append(s);
-  }
+  stream.SetSink([&incremental](const traj::RepresentedSegment& s) {
+    incremental.Append(s);
+  });
+  for (const geo::Point& p : t) stream.Push(p);
   stream.Finish();
-  for (auto& s : stream.TakeEmitted()) incremental.Append(s);
   ASSERT_EQ(batch.size(), incremental.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(batch[i].start, incremental[i].start);

@@ -100,12 +100,11 @@ TEST(OperbTest, StreamingMatchesBatch) {
 
   OperbStream stream(opts);
   traj::PiecewiseRepresentation incremental;
-  for (const geo::Point& p : t) {
-    stream.Push(p);
-    for (auto& s : stream.TakeEmitted()) incremental.Append(s);
-  }
+  stream.SetSink([&incremental](const traj::RepresentedSegment& s) {
+    incremental.Append(s);
+  });
+  for (const geo::Point& p : t) stream.Push(p);
   stream.Finish();
-  for (auto& s : stream.TakeEmitted()) incremental.Append(s);
 
   ASSERT_EQ(batch.size(), incremental.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -144,25 +143,19 @@ TEST(OperbTest, OptimizationsImproveCompressionOnDenseData) {
   EXPECT_LT(eval::CompressionRatio(t, opt), eval::CompressionRatio(t, raw));
 }
 
-TEST(OperbTest, PaperVerbatimModeEndsAtLastActivePoint) {
-  // With the closing segment disabled, trailing inactive points leave the
-  // representation ending before the final sample (the pseudocode's
-  // behaviour); with it enabled the last endpoint is always P_n.
+TEST(OperbTest, TrailingInactivePointsEndAtTheFinalSample) {
+  // Trailing inactive points would leave the pseudocode's representation
+  // ending at the last *active* point; the closing segment makes the
+  // last endpoint P_n.
   traj::Trajectory t;
   for (int i = 0; i <= 10; ++i) t.AppendUnchecked({i * 20.0, 0.0, double(i)});
   // Trailing cluster of inactive points near the end.
   for (int i = 1; i <= 5; ++i)
     t.AppendUnchecked({200.0 + 0.1 * i, 0.0, 10.0 + i});
-  OperbOptions closing = OperbOptions::Raw(40.0);
-  const auto rep = SimplifyOperb(t, closing);
+  const auto rep = SimplifyOperb(t, OperbOptions::Raw(40.0));
+  ASSERT_FALSE(rep.empty());
   EXPECT_EQ(rep[rep.size() - 1].last_index, t.size() - 1);
-
-  OperbOptions verbatim = closing;
-  verbatim.emit_closing_segment = false;
-  const auto rep2 = SimplifyOperb(t, verbatim);
-  ASSERT_FALSE(rep2.empty());
-  // Coverage still reaches the end even though the endpoint may not.
-  EXPECT_EQ(rep2[rep2.size() - 1].last_index, t.size() - 1);
+  EXPECT_EQ(rep[rep.size() - 1].end, t[t.size() - 1].pos());
 }
 
 TEST(OperbTest, CapForcesSegmentBreak) {

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/serial.h"
 #include "datagen/rng.h"
 #include "engine/stream_engine.h"
 #include "geo/bbox.h"
@@ -23,6 +24,7 @@
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "server/socket.h"
 #include "store/env.h"
 #include "store/reader.h"
 #include "test_util.h"
@@ -299,6 +301,89 @@ TEST(ServerClientTest, ConnectToDeadPortFailsWithIOError) {
   auto client = server::Client::Connect("127.0.0.1", 1);
   EXPECT_FALSE(client.ok());
   EXPECT_EQ(client.status().code(), StatusCode::kIOError);
+}
+
+TEST(ServerClientTest, IngestCountBeyondItsFrameIsRefusedAndServingGoesOn) {
+  // An INGEST body is a u32 count and 32 bytes per update. A count the
+  // frame cannot hold — down to the 9-byte frame that claims 2^32-1
+  // updates and carries none — is malformed: refused before anything is
+  // sized from it, on a connection that stays usable.
+  const std::string dir = ScratchDir("ingest_count");
+  auto server = server::TrajectoryServer::Start(BaseOptions(dir + "/store"), 0);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto raw = server::Socket::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  for (const std::uint32_t n : {1u, 1u << 24, 0xFFFFFFFFu}) {
+    std::vector<std::uint8_t> body;
+    serial::PutU32(n, &body);
+    ASSERT_TRUE(server::SendFrame(*raw,
+                                  static_cast<std::uint8_t>(server::Verb::kIngest),
+                                  body)
+                    .ok());
+    std::uint8_t tag = 0;
+    std::vector<std::uint8_t> reply;
+    ASSERT_TRUE(server::RecvFrame(*raw, &tag, &reply).ok()) << n;
+    EXPECT_EQ(server::StatusFromWire(static_cast<server::WireStatus>(tag),
+                                     std::string(reply.begin(), reply.end()))
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << n;
+  }
+
+  const auto feed = MakeFeed(4, 30, 9);
+  auto client = server::Client::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(client->Ingest(feed).ok());
+  auto segments = client->QueryWindow(EverythingBox(), -kAllTime, kAllTime);
+  ASSERT_TRUE(segments.ok()) << segments.status().ToString();
+  EXPECT_FALSE(segments->empty());
+  auto stats = client->Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->ingest_points, feed.size());
+  EXPECT_TRUE((*server)->Stop().ok());
+}
+
+TEST(ServerClientTest, SegmentReplyCountBeyondItsFrameIsAnIOError) {
+  // The client bounds a reply's segment count by the bytes behind it
+  // (74 per timed segment) before sizing its result. A fake server
+  // answers each query with an ok-reply claiming `count` segments and
+  // carrying none.
+  std::vector<std::uint8_t> one;
+  server::PutTimedSegment(traj::TimedSegment{}, &one);
+  ASSERT_EQ(one.size(), server::kTimedSegmentWireBytes);
+
+  auto listener = server::Listener::Bind(0);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  const std::vector<std::uint32_t> counts = {1u, 1u << 24, 0xFFFFFFFFu};
+  std::thread fake([&listener, &counts] {
+    auto conn = listener->AcceptWithTimeout(10000);
+    if (!conn.ok() || !conn->valid()) return;
+    for (const std::uint32_t count : counts) {
+      std::uint8_t tag = 0;
+      std::vector<std::uint8_t> request;
+      if (!server::RecvFrame(*conn, &tag, &request).ok()) return;
+      std::vector<std::uint8_t> body;
+      serial::PutU32(count, &body);
+      if (!server::SendFrame(*conn,
+                             static_cast<std::uint8_t>(server::WireStatus::kOk),
+                             body)
+               .ok()) {
+        return;
+      }
+    }
+  });
+  auto client = server::Client::Connect("127.0.0.1", listener->port());
+  EXPECT_TRUE(client.ok()) << client.status().ToString();
+  if (client.ok()) {
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      const auto reply =
+          i % 2 == 0 ? client->QueryObject(7, -kAllTime, kAllTime)
+                     : client->QueryWindow(EverythingBox(), -kAllTime,
+                                           kAllTime);
+      EXPECT_EQ(reply.status().code(), StatusCode::kIOError) << counts[i];
+    }
+  }
+  fake.join();
 }
 
 // ---------------------------------------------------------------------------

@@ -1002,6 +1002,34 @@ TEST(StoreCompactionTest, CompactionDuringLiveSessionKeepsEmissionOrder) {
   ExpectTimedEqual(*rec2, all, "after full compaction");
 }
 
+TEST(StoreTest, ManifestFileCountBeyondItsBytesIsCorruption) {
+  // The manifest checksum is FNV-1a, which anyone can recompute: a
+  // claimed file_count is bounded by the bytes that follow it (16 per
+  // entry's fixed part) before anything is reserved from it.
+  store::Manifest m;
+  m.generation = 1;
+  m.zeta = testutil::kGoldenZeta;
+  std::vector<std::uint8_t> good;
+  store::EncodeManifest(m, &good);
+  ASSERT_EQ(good.size(), 52u);  // header, empty table, checksum
+  ASSERT_TRUE(store::DecodeManifest(good).ok());
+  constexpr std::size_t kFileCountAt = 40;  // magic + 4+8+8+4+8
+  for (const std::uint32_t count : {1u, 1u << 24, 0xFFFFFFFFu}) {
+    std::vector<std::uint8_t> bad = good;
+    for (int i = 0; i < 4; ++i) {
+      bad[kFileCountAt + i] = static_cast<std::uint8_t>(count >> (8 * i));
+    }
+    const std::uint64_t sum = store::Fnv1a64(
+        std::span<const std::uint8_t>(bad.data(), bad.size() - 8));
+    for (int i = 0; i < 8; ++i) {
+      bad[bad.size() - 8 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+    }
+    EXPECT_EQ(store::DecodeManifest(bad).status().code(),
+              StatusCode::kCorruption)
+        << count;
+  }
+}
+
 TEST(StoreCompactionTest, AppendSessionValidatesManifestAgreement) {
   const std::string path = TempPath("store_append_validate.store");
   store::StoreWriterOptions options;

@@ -128,6 +128,12 @@ inline std::vector<traj::RepresentedSegment> LoadGolden(
   return out;
 }
 
+/// A sink appending every emitted segment to `*out`.
+inline traj::SegmentSink CollectInto(
+    std::vector<traj::RepresentedSegment>* out) {
+  return [out](const traj::RepresentedSegment& s) { out->push_back(s); };
+}
+
 /// Field-by-field bit-exact segment comparison.
 inline void ExpectSegmentsEqual(
     const std::vector<traj::RepresentedSegment>& actual,
